@@ -39,6 +39,8 @@ SPACES = ("P", "Q")
 
 # singular values below this count as numerically zero
 SINGULAR_FLOOR = 1e-300
+# log of the largest finite float
+LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
 
 class RankDeficientError(ValueError):
@@ -114,13 +116,25 @@ def _psi_matrix(basis: ProductBasis, pts: np.ndarray) -> np.ndarray:
 
 
 def eval_rows(basis: ProductBasis, points, space: str) -> np.ndarray:
-    """Basis rows at many points, shape (m, N). space is "P" or "Q"."""
+    """Basis rows at many points, shape (m, N). space is "P" or "Q".
+
+    Q rows need a positive finite Christoffel sum at every point; a sum that
+    overflowed or vanished raises ValueError naming the point.
+    """
     if space not in SPACES:
         raise ValueError(f"space must be one of {SPACES}")
-    psi = _psi_matrix(basis, _as_points(basis, points))
+    pts = _as_points(basis, points)
+    psi = _psi_matrix(basis, pts)
     if space == "P":
         return psi
     k = np.sum(psi * psi, axis=1)
+    bad = np.flatnonzero(~(np.isfinite(k) & (k > 0.0)))
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(
+            f"Christoffel sum {float(k[i])} at point {i} {pts[i].tolist()} is not "
+            f"positive and finite (basis degree {basis.index_set.max_degree})"
+        )
     return psi / np.sqrt(k)[:, None]
 
 
@@ -180,13 +194,23 @@ def det_modulus(matrix) -> float:
     """sqrt(|det(V V^T)|) of an m x N matrix with m <= N.
 
     Computed as the product of singular values; for square V this is |det V|.
+    A product beyond the float range returns math.inf without a floating
+    point warning; one whose running product would overflow but whose value
+    fits is taken as exp of the summed logarithms.
     """
     vals = _values(matrix)
     m, n = vals.shape
     if m > n:
         raise ValueError(f"determinant modulus needs m <= N, got {m} x {n}")
     sigma = np.linalg.svd(vals, compute_uv=False)
-    return float(np.prod(sigma))
+    with np.errstate(divide="ignore"):
+        logs = np.log(sigma)
+    # sigma is descending, so np.prod's running product peaks at the
+    # product of the singular values above 1
+    if float(np.sum(logs[logs > 0.0])) < LOG_FLOAT_MAX:
+        return float(np.prod(sigma))
+    log_det = float(np.sum(logs))
+    return math.exp(log_det) if log_det < LOG_FLOAT_MAX else math.inf
 
 
 def condition_number(matrix) -> float:

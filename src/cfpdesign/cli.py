@@ -103,8 +103,6 @@ def _apply_config_file(args: argparse.Namespace) -> argparse.Namespace:
             parsed = int(raw)
         elif key in _FLOAT_KEYS:
             parsed = float(raw)
-        elif key == "degrees":
-            parsed = raw
         else:
             parsed = raw
         setattr(args, attr, parsed)

@@ -1,16 +1,17 @@
 """Candidate ensembles and deterministic point selection.
 
-Selection is greedy determinant maximization, organized as a column-pivoted
-QR factorization of the transposed design matrix: the pivot chosen at each
-step is the candidate whose residual against the span of the selected rows
-is largest, which multiplies the running determinant modulus by that
-residual norm. Ties within a relative window of 1e-12 go to the lowest
-candidate index; in the unit-norm row space the first step is an exact
-mathematical tie, so the window is what keeps the choice well defined.
+Selection is greedy determinant maximization, computed as lazy pivoted
+Cholesky of the Gram matrix V V^T on a read-only V: each step picks the
+candidate whose residual against the span of the selected rows is largest,
+which multiplies the running determinant modulus by that residual norm, and
+one matvec with V downdates every squared residual. Ties within a relative
+window of 1e-12 go to the lowest candidate index; in the unit-norm row space
+the first step is an exact mathematical tie, so the window is what keeps
+the choice well defined.
 
 The literal greedy reference and the brute-force subset oracle evaluate
-their objectives from scratch at every step and exist to check the QR path,
-so they must stay independent of it.
+their objectives from scratch at every step and exist to check the fast
+path, so they must stay independent of it.
 """
 
 from __future__ import annotations
@@ -48,6 +49,9 @@ TAG_BALL = "ball"
 
 # relative window within which per-step objectives count as tied
 TIE_RTOL = 1e-12
+# a downdated squared residual below this share of its last exact value has
+# lost half its digits to cancellation (the xGEQP3 test, on squares)
+RECOMPUTE_RATIO = math.sqrt(np.finfo(float).eps)
 
 REFERENCE_MAX_CANDIDATES = 1000
 ORACLE_MAX_SUBSETS = 10**6
@@ -75,6 +79,9 @@ class CandidateSet:
             raise ValueError("one ensemble tag per point required")
         if len(self.densities) != self.points.shape[1]:
             raise ValueError("one density per coordinate required")
+        bad = np.flatnonzero(~np.isfinite(self.points).all(axis=1))
+        if bad.size:
+            raise ValueError(f"candidate point {int(bad[0])} is not finite")
         self.points.setflags(write=False)
 
     def __len__(self) -> int:
@@ -209,50 +216,42 @@ def _tied_lowest(order: np.ndarray, values: np.ndarray, best: float, window: flo
 
 
 def _greedy_pivot_qr(v: np.ndarray, m_points: int) -> tuple[np.ndarray, np.ndarray]:
-    """First m_points pivots of a column-pivoted QR of v.T.
-
-    Returns (pivots into v's rows, per-step determinant-modulus trace).
-    Residual norms are downdated and periodically recomputed; small problems
-    recompute every step so the oracle comparison sees fully accurate norms.
+    """(pivots into v's rows, determinant-modulus trace) of m_points greedy
+    steps; v is only read. Residuals that fail the cancellation test are
+    recomputed 512 rows at a time, so no temporary the size of v appears.
     """
-    m_total, width = v.shape
-    r = v.copy()
-    sq = np.einsum("ij,ij->i", r, r)
-    order = np.arange(m_total)
+    sq = np.einsum("ij,ij->i", v, v)
+    floor = RECOMPUTE_RATIO * sq
     rank_floor = (1e-12 * math.sqrt(float(np.max(sq)))) ** 2
-    recompute_every = 1 if m_total * width <= 50_000 else 32
-
+    q = np.empty((m_points, v.shape[1]))
     pivots = np.empty(m_points, dtype=int)
     trace = np.empty(m_points)
     running_det = 1.0
     for k in range(m_points):
-        window = sq[k:]
-        if k > 0 and k % recompute_every == 0:
-            window[:] = np.einsum("ij,ij->i", r[k:], r[k:])
-        best = float(np.max(window))
+        best = float(np.max(sq))
         if best <= rank_floor:
             raise RankDeficientError(
                 f"candidate rows reached rank {k} before {m_points} pivots"
             )
         # squared-norm window: a relative tie of TIE_RTOL on the residual
-        # norm is 2 * TIE_RTOL on its square
-        j = k + _tied_lowest(order[k:], window, best, 2.0 * TIE_RTOL * best)
-        r[[k, j]] = r[[j, k]]
-        sq[[k, j]] = sq[[j, k]]
-        order[[k, j]] = order[[j, k]]
-
-        norm = math.sqrt(float(sq[k]))
-        running_det *= norm
+        # norm is 2 * TIE_RTOL on its square; argmax takes the lowest index
+        j = int(np.argmax(sq >= best - 2.0 * TIE_RTOL * best))
+        running_det *= math.sqrt(float(sq[j]))
         trace[k] = running_det
-        pivots[k] = order[k]
-
-        if k + 1 < m_total:
-            q = r[k] / norm
-            coeff = r[k + 1 :] @ q
-            r[k + 1 :] -= coeff[:, None] * q[None, :]
-            tail = sq[k + 1 :]
-            tail -= coeff * coeff
-            np.maximum(tail, 0.0, out=tail)
+        pivots[k] = j
+        # classical Gram-Schmidt, two passes
+        w = v[j] - (q[:k] @ v[j]) @ q[:k]
+        w -= (q[:k] @ w) @ q[:k]
+        q[k] = w / np.linalg.norm(w)
+        c = v @ q[k]
+        sq -= c * c
+        sq[j] = floor[j] = -math.inf  # never picked nor recomputed again
+        low = np.flatnonzero(sq < floor)
+        for start in range(0, low.size, 512):
+            rows = low[start : start + 512]
+            res = v[rows] - (v[rows] @ q[: k + 1].T) @ q[: k + 1]
+            sq[rows] = np.einsum("ij,ij->i", res, res)
+        floor[low] = RECOMPUTE_RATIO * sq[low]
     return pivots, trace
 
 
@@ -304,8 +303,9 @@ def cfp_select(
 ) -> DesignResult:
     """Greedy determinant-maximizing selection on unit-norm rows.
 
-    Equivalent to the first m_points column pivots of a pivoted QR of the
-    transposed Christoffel-scaled design matrix.
+    Lazy pivoted Cholesky of the Gram matrix of the read-only
+    Christoffel-scaled design matrix; the pivots are those of a column-
+    pivoted QR of its transpose.
     """
     return _qr_select(candidates, index_set, m_points, "Q")
 
@@ -313,7 +313,7 @@ def cfp_select(
 def afp_select(
     candidates: CandidateSet, index_set: MultiIndexSet, m_points: int
 ) -> DesignResult:
-    """Same greedy selection on plain rows (approximate Fekete points)."""
+    """Same lazy Cholesky selection on plain rows (approximate Fekete points)."""
     return _qr_select(candidates, index_set, m_points, "P")
 
 

@@ -6,6 +6,7 @@ invariance under rotating the basis, all with hand examples pinned first.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -54,6 +55,21 @@ def test_eval_rows_requires_known_space_and_dimension():
         eval_rows(basis, [[0.5]], "R")
     with pytest.raises(ValueError):
         eval_rows(basis, [[0.5, 0.5]], "P")
+
+
+def test_q_rows_reject_overflowed_or_vanishing_christoffel_sums():
+    # at degree 400 the Hermite sum at y = 30 overflows; unchecked, the row
+    # came out as zeros and the selection quietly got worse
+    hermite = ProductBasis.for_density(GAUSSIAN, total_degree(1, 400))
+    with np.errstate(over="ignore"), pytest.raises(
+        ValueError, match=r"point 1 \[30.0\].*basis degree 400"
+    ):
+        eval_rows(hermite, [[0.0], [30.0]], "Q")
+    # phi_1 vanishes at 0, so a basis without the constant has K(0) = 0
+    no_constant = ProductBasis.for_density(UNIFORM, MultiIndexSet(1, ((1,),)))
+    with pytest.raises(ValueError, match="point 0"):
+        eval_rows(no_constant, [[0.0]], "Q")
+    assert eval_rows(no_constant, [[0.0]], "P")[0, 0] == 0.0
 
 
 def test_christoffel_hand_values():
@@ -132,6 +148,19 @@ def test_det_modulus_hand_values():
 def test_det_modulus_wide_matrix():
     # sqrt(det(V V^T)) for a 1 x 3 row is its norm
     assert det_modulus(np.array([[2.0, 3.0, 6.0]])) == pytest.approx(7.0, rel=1e-15)
+
+
+def test_det_modulus_out_of_float_range():
+    big = np.diag([1e200, 1e200, 1e200])
+    spread = np.diag([1e200, 1e200, 1e-150])  # running product overflows
+    sigma = np.array([3.0, 2.0, 0.5])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert det_modulus(big) == math.inf
+        assert det_modulus(spread) == pytest.approx(1e250, rel=1e-12)
+        assert det_modulus(np.diag([2.0, 0.0])) == 0.0
+        # in range, the value is np.prod's, bit for bit
+        assert det_modulus(np.diag(sigma)) == float(np.prod(sigma))
 
 
 def test_condition_number_hand_values():

@@ -1,17 +1,22 @@
 """Candidate ensembles and greedy selection tests.
 
-The QR selection path is checked three ways: hand-worked 4-candidate
-examples with closed-form rows, exact pivot agreement with the literal
-greedy reference on random instances, and the brute-force subset oracle on
-cases small enough to enumerate. Ensemble draws are checked against their
-target laws by KS statistics frozen for fixed seeds, plus an in-test
-rejection sampler for the ball law.
+The lazy pivoted Cholesky selection path is checked four ways: hand-worked
+4-candidate examples with closed-form rows, exact pivot agreement with the
+literal greedy reference on random instances, pivot agreement with an
+in-test explicit-residual greedy at the 10k-candidate sizes the studies
+use, and the brute-force subset oracle on cases small enough to enumerate.
+Hypothesis properties cover the Hadamard-bounded trace and invariance under
+candidate permutations. Ensemble draws are checked against their target
+laws by KS statistics frozen for fixed seeds, plus an in-test rejection
+sampler for the ball law.
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from cfpdesign import (
@@ -24,6 +29,7 @@ from cfpdesign import (
     candidate_set,
     cfp_select,
     condition_number,
+    eval_rows,
     global_select_oracle,
     greedy_select_reference,
     level_set,
@@ -76,6 +82,13 @@ def test_candidate_set_validation():
         candidate_set((UNIFORM, GAUSSIAN), 2, 100, 4, 0)
     with pytest.raises(ValueError):
         candidate_set((UNIFORM,), 2, 100, 4, 0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_candidate_set_rejects_non_finite_points(bad):
+    points = np.array([[0.1, 0.2], [0.3, 0.4], [0.5, bad], [bad, 0.0]])
+    with pytest.raises(ValueError, match="candidate point 2 is not finite"):
+        manual_candidates(points, UNIFORM)
 
 
 def test_candidate_points_read_only():
@@ -249,6 +262,93 @@ def test_qr_path_matches_greedy_reference():
             np.testing.assert_allclose(
                 got.objective_trace, ref.objective_trace, rtol=1e-9
             )
+
+
+def _explicit_residual_greedy(v, m_points):
+    """Greedy pivots that keep every residual row explicitly and recompute
+    every squared norm from them at every step.
+
+    Returns the pivots and, per step, the relative gap between the best
+    squared residual and the runner-up.
+    """
+    r = v.copy()
+    chosen, gaps = [], []
+    for _ in range(m_points):
+        sq = np.einsum("ij,ij->i", r, r)
+        sq[chosen] = -np.inf
+        best = float(np.max(sq))
+        j = int(np.argmax(sq >= best - 2e-12 * best))
+        gaps.append(1.0 - float(np.partition(sq, -2)[-2]) / best)
+        chosen.append(j)
+        q = r[j] / math.sqrt(sq[j])
+        r -= np.outer(r @ q, q)
+    return chosen, gaps
+
+
+def _distinct_rows(candidates, index_set, space):
+    _, first = np.unique(candidates.points, axis=0, return_index=True)
+    unique = np.sort(first)
+    basis = ProductBasis.for_density(candidates.densities, index_set)
+    return unique, eval_rows(basis, candidates.points[unique], space)
+
+
+@pytest.mark.parametrize(
+    "density,dimension,degree", [(UNIFORM, 2, 12), (GAUSSIAN, 2, 10)]
+)
+@pytest.mark.parametrize("select,space", [(cfp_select, "Q"), (afp_select, "P")])
+def test_selection_matches_explicit_residual_greedy_at_study_scale(
+    density, dimension, degree, select, space
+):
+    lam = total_degree(dimension, degree)
+    cands = candidate_set(density, dimension, 10_000, degree, 3)
+    got = select(cands, lam, len(lam))
+    unique, v = _distinct_rows(cands, lam, space)
+    chosen, _ = _explicit_residual_greedy(v, len(lam))
+    assert got.pivot_order == tuple(int(i) for i in unique[chosen])
+    expected = [
+        np.prod(np.linalg.svd(v[chosen[: k + 1]], compute_uv=False))
+        for k in range(len(lam))
+    ]
+    np.testing.assert_allclose(got.objective_trace, expected, rtol=1e-8)
+
+
+@st.composite
+def selection_problems(draw):
+    dimension = draw(st.integers(1, 2))
+    degree = draw(st.integers(1, 5 if dimension == 2 else 12))
+    density = draw(st.sampled_from([UNIFORM, GAUSSIAN]))
+    lam = total_degree(dimension, degree)
+    m_total = 2 * draw(st.integers(len(lam), 150))
+    seed = draw(st.integers(0, 10**6))
+    cands = candidate_set(density, dimension, m_total, degree, seed)
+    return cands, lam, draw(st.integers(1, len(lam)))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(selection_problems())
+def test_cfp_trace_is_nonincreasing_and_hadamard_bounded(problem):
+    cands, lam, m_points = problem
+    trace = cfp_select(cands, lam, m_points).objective_trace
+    assert np.all(trace <= 1.0 + 1e-12)
+    assert np.all(np.diff(trace) <= 1e-12 * trace[:-1])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(selection_problems(), st.integers(0, 10**6), st.sampled_from(["Q", "P"]))
+def test_selected_set_is_invariant_under_candidate_permutation(problem, seed, space):
+    """Away from ties the chosen set depends only on the candidates, not
+    their order. Candidate 0 stays first, so the unit-norm tie at the first
+    Q step goes to the same point under both orders."""
+    cands, lam, m_points = problem
+    _, v = _distinct_rows(cands, lam, space)
+    gaps = _explicit_residual_greedy(v, m_points)[1]
+    assume(min(gaps[1:] if space == "Q" else gaps, default=1.0) > 1e-6)
+    perm = np.r_[0, 1 + np.random.default_rng(seed).permutation(len(cands) - 1)]
+    shuffled = manual_candidates(cands.points[perm], cands.densities[0])
+    select = cfp_select if space == "Q" else afp_select
+    original = select(cands, lam, m_points).points
+    permuted = select(shuffled, lam, m_points).points
+    assert sorted(map(tuple, original)) == sorted(map(tuple, permuted))
 
 
 def test_cfp_trace_is_nonincreasing_and_bounded():
