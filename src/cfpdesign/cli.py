@@ -9,7 +9,8 @@ Subcommands:
 
 Every option can also come from a config file of `key = value` lines
 (`--config FILE`); explicit flags override the file, which overrides the
-defaults. Keys match the long option names, e.g.
+defaults. Keys match the long option names exactly, and values go through
+the same type and choice checks as flags, e.g.
 
     # study setup
     family = uniform
@@ -24,21 +25,21 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
+from dataclasses import fields
 
 from . import __version__
 from .basis import ProductBasis
-from .design import afp_select, candidate_set, cfp_select
-from .lsq import solve_unweighted, solve_weighted
-from .multiindex import enrich, hyperbolic_cross, total_degree
-from .orthopoly import DensitySpec
 from .studies import (
+    FAMILIES,
     RULES,
     STUDY_FIELDS,
     TARGETS,
     VERIFY_FIELDS,
     StudyConfig,
+    _degree_setup,
+    _select,
+    _solver,
     config_echo,
     render_csv,
     resolve_target,
@@ -47,27 +48,17 @@ from .studies import (
     verify_oned,
 )
 
-_INT_KEYS = {
-    "dimension",
-    "degree",
-    "trials",
-    "candidates",
-    "seed",
-    "samples",
-    "validation-samples",
-    "n-max",
-    "elliptic-grid-points",
-}
-_FLOAT_KEYS = {"oversampling", "elliptic-sigma"}
-
 
 def _parse_degrees(text: str) -> tuple[int, ...]:
     """"2:8" is an inclusive range, "2,4,6" a list, "5" a single degree."""
     text = text.strip()
-    if ":" in text:
-        lo, hi = text.split(":", 1)
-        return tuple(range(int(lo), int(hi) + 1))
-    return tuple(int(part) for part in text.split(",") if part)
+    try:
+        if ":" in text:
+            lo, hi = text.split(":", 1)
+            return tuple(range(int(lo), int(hi) + 1))
+        return tuple(int(part) for part in text.split(",") if part)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected e.g. 2:15 or 2,4,8, got {text!r}")
 
 
 def _parse_methods(text: str) -> tuple[str, ...]:
@@ -88,54 +79,24 @@ def _read_config_file(path: str) -> dict[str, str]:
     return values
 
 
-def _apply_config_file(args: argparse.Namespace) -> argparse.Namespace:
-    """Fill in options the command line left at None."""
-    if not getattr(args, "config", None):
-        return args
-    values = _read_config_file(args.config)
-    for key, raw in values.items():
-        attr = key.replace("-", "_")
-        if not hasattr(args, attr):
+def _with_config_file(args: argparse.Namespace, argv: list[str]) -> list[str]:
+    """argv with the file's `--key=value` tokens right after the subcommand
+    words, so they meet the checks of their flags and explicit flags win."""
+    tokens = []
+    for key, value in _read_config_file(args.config).items():
+        # exact names only: argparse alone would take `degree` for `--degrees`
+        if key.replace("-", "_") not in vars(args):
             raise ValueError(f"unknown config key {key!r}")
-        if getattr(args, attr) is not None:
-            continue  # explicit flag wins
-        if key in _INT_KEYS:
-            parsed = int(raw)
-        elif key in _FLOAT_KEYS:
-            parsed = float(raw)
-        else:
-            parsed = raw
-        setattr(args, attr, parsed)
-    return args
+        tokens.append(f"--{key}={value}")
+    words = 1 if args.command == "design" else 2
+    return argv[:words] + tokens + argv[words:]
 
 
 def _study_config(args: argparse.Namespace, **overrides) -> StudyConfig:
-    kwargs = dict(
-        family=args.family if args.family is not None else "uniform",
-        dimension=args.dimension if args.dimension is not None else 2,
-        rule=args.rule if args.rule is not None else "TD",
-        oversampling=args.oversampling if args.oversampling is not None else 1.05,
-        trials=args.trials if args.trials is not None else 50,
-        candidates=args.candidates if args.candidates is not None else 10_000,
-        seed=args.seed if args.seed is not None else 0,
-        validation_samples=(
-            args.validation_samples if args.validation_samples is not None else 1000
-        ),
-        elliptic_sigma=(
-            args.elliptic_sigma if args.elliptic_sigma is not None else 1.0
-        ),
-        elliptic_grid_points=(
-            args.elliptic_grid_points
-            if args.elliptic_grid_points is not None
-            else 1001
-        ),
-    )
-    if args.degrees is not None:
-        kwargs["degrees"] = _parse_degrees(args.degrees)
-    if args.methods is not None:
-        kwargs["methods"] = _parse_methods(args.methods)
-    kwargs.update(overrides)
-    return StudyConfig(**kwargs)
+    """StudyConfig from the options given; the dataclass holds the defaults."""
+    given = {f.name: getattr(args, f.name, None) for f in fields(StudyConfig)}
+    given.update(overrides)
+    return StudyConfig(**{name: v for name, v in given.items() if v is not None})
 
 
 def _write(path: str | None, text: str) -> None:
@@ -146,20 +107,21 @@ def _write(path: str | None, text: str) -> None:
             handle.write(text)
 
 
-def _add_common_study_options(parser: argparse.ArgumentParser) -> None:
+def _json_text(payload: dict) -> str:
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+
+
+def _add_shared_options(parser: argparse.ArgumentParser, sampling: bool = True) -> None:
+    """Options of every subcommand; `sampling` adds the candidate-draw
+    options that design and the studies share."""
     parser.add_argument("--config", help="key = value config file")
-    parser.add_argument("--family", choices=("uniform", "gaussian"))
-    parser.add_argument("--dimension", type=int)
-    parser.add_argument("--rule", choices=RULES)
-    parser.add_argument("--degrees", help="e.g. 2:15 or 2,4,8")
-    parser.add_argument("--oversampling", type=float)
-    parser.add_argument("--trials", type=int)
-    parser.add_argument("--candidates", type=int)
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--methods", help="comma list from CFP,AFP,MC")
-    parser.add_argument("--validation-samples", type=int)
-    parser.add_argument("--elliptic-sigma", type=float)
-    parser.add_argument("--elliptic-grid-points", type=int)
+    parser.add_argument("--family", choices=FAMILIES)
+    if sampling:
+        parser.add_argument("--dimension", type=int)
+        parser.add_argument("--rule", choices=RULES)
+        parser.add_argument("--oversampling", type=float)
+        parser.add_argument("--candidates", type=int)
+        parser.add_argument("--seed", type=int)
     parser.add_argument("--output", "-o", help="output path, '-' for stdout")
 
 
@@ -172,120 +134,87 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_design = sub.add_parser("design", help="build one design, write JSON")
-    p_design.add_argument("--config", help="key = value config file")
-    p_design.add_argument("--family", choices=("uniform", "gaussian"))
-    p_design.add_argument("--dimension", type=int)
-    p_design.add_argument("--rule", choices=RULES)
-    p_design.add_argument("--degree", type=int)
+    _add_shared_options(p_design)
+    p_design.add_argument("--degree", type=int, default=4)
     p_design.add_argument("--samples", type=int, help="points to select")
-    p_design.add_argument("--oversampling", type=float)
-    p_design.add_argument("--candidates", type=int)
-    p_design.add_argument("--seed", type=int)
-    p_design.add_argument("--method", choices=("cfp", "afp"))
+    p_design.add_argument("--method", choices=("cfp", "afp"), default="cfp")
     p_design.add_argument("--fit", choices=TARGETS, help="also fit this target")
     p_design.add_argument("--surrogate-output", help="JSON path for the fit")
-    p_design.add_argument("--output", "-o", help="output path, '-' for stdout")
 
     p_study = sub.add_parser("study", help="batch studies, CSV output")
     study_sub = p_study.add_subparsers(dest="study_kind", required=True)
     for kind in ("cond", "approx", "elliptic"):
         p_kind = study_sub.add_parser(kind)
-        _add_common_study_options(p_kind)
+        _add_shared_options(p_kind)
+        p_kind.add_argument("--degrees", type=_parse_degrees, help="e.g. 2:15 or 2,4,8")
+        p_kind.add_argument("--trials", type=int)
+        p_kind.add_argument(
+            "--methods", type=_parse_methods, help="comma list from CFP,AFP,MC"
+        )
+        p_kind.add_argument("--validation-samples", type=int)
+        p_kind.add_argument("--elliptic-sigma", type=float)
+        p_kind.add_argument("--elliptic-grid-points", type=int)
         if kind == "approx":
-            p_kind.add_argument("--target", choices=TARGETS)
+            p_kind.add_argument("--target", choices=TARGETS, default="exp_negsumsq")
 
     p_verify = sub.add_parser("verify", help="verification reports, CSV output")
     verify_sub = p_verify.add_subparsers(dest="verify_kind", required=True)
     p_oned = verify_sub.add_parser("oned")
-    p_oned.add_argument("--config", help="key = value config file")
-    p_oned.add_argument("--family", choices=("uniform", "gaussian"))
-    p_oned.add_argument("--n-max", type=int)
-    p_oned.add_argument("--output", "-o", help="output path, '-' for stdout")
+    _add_shared_options(p_oned, sampling=False)
+    p_oned.set_defaults(family=StudyConfig.family)
+    p_oned.add_argument("--n-max", type=int, default=10)
     return parser
 
 
 def _run_design(args: argparse.Namespace) -> int:
-    family = args.family if args.family is not None else "uniform"
-    dimension = args.dimension if args.dimension is not None else 2
-    rule = args.rule if args.rule is not None else "TD"
-    degree = args.degree if args.degree is not None else 4
-    oversampling = args.oversampling if args.oversampling is not None else 1.05
-    n_candidates = args.candidates if args.candidates is not None else 10_000
-    seed = args.seed if args.seed is not None else 0
-    method = args.method if args.method is not None else "cfp"
-
-    build = total_degree if rule == "TD" else hyperbolic_cross
-    lam = build(dimension, degree)
-    m_points = (
-        args.samples
-        if args.samples is not None
-        else int(math.ceil(oversampling * len(lam)))
-    )
-    lam_tilde = enrich(lam, m_points - len(lam)) if m_points > len(lam) else lam
-    cands = candidate_set(
-        DensitySpec(family), dimension, n_candidates, lam_tilde.max_degree, seed
-    )
-    select = cfp_select if method == "cfp" else afp_select
-    result = select(cands, lam_tilde, m_points)
+    config = _study_config(args, degrees=(args.degree,))
+    method = args.method.upper()
+    lam, lam_tilde, m_points = _degree_setup(config, args.degree, args.samples)
+    result = _select(config, method, lam_tilde, m_points, config.seed)
     payload = result.to_json()
     payload["config"].update(
         {
             "version": __version__,
-            "family": family,
-            "dimension": dimension,
-            "rule": rule,
-            "degree": degree,
-            "method": method,
+            "family": config.family,
+            "dimension": config.dimension,
+            "rule": config.rule,
+            "degree": args.degree,
+            "method": args.method,
         }
     )
-    _write(args.output, json.dumps(payload, indent=2) + "\n")
+    _write(args.output, _json_text(payload))
 
     if args.fit is not None:
-        study_cfg = StudyConfig(
-            family=family,
-            dimension=dimension,
-            rule=rule,
-            degrees=(degree,),
-            seed=seed,
-        )
-        target = resolve_target(study_cfg, args.fit)
-        basis = ProductBasis.for_density(study_cfg.density, lam)
-        solve = solve_weighted if method == "cfp" else solve_unweighted
-        surrogate = solve(basis, result.points, target(result.points))
+        target = resolve_target(config, args.fit)
+        basis = ProductBasis.for_density(config.density, lam)
+        surrogate = _solver(method)(basis, result.points, target(result.points))
         fit_payload = surrogate.to_json()
         fit_payload["target"] = args.fit
         fit_payload["version"] = __version__
-        _write(args.surrogate_output, json.dumps(fit_payload, indent=2) + "\n")
+        _write(args.surrogate_output, _json_text(fit_payload))
     return 0
 
 
 def _run_study(args: argparse.Namespace) -> int:
+    config = _study_config(args)
     if args.study_kind == "cond":
-        config = _study_config(args)
         records = study_condition(config)
         echo = config_echo(config, study="cond")
-    elif args.study_kind == "approx":
-        target = args.target if args.target is not None else "exp_negsumsq"
-        config = _study_config(args)
-        records = study_approx(config, target)
-        echo = config_echo(config, study="approx", target=target)
     else:
-        config = _study_config(args)
-        records = study_approx(config, "elliptic")
-        echo = config_echo(config, study="elliptic", target="elliptic")
+        target = "elliptic" if args.study_kind == "elliptic" else args.target
+        records = study_approx(config, target)
+        echo = config_echo(config, study=args.study_kind, target=target)
     _write(args.output, render_csv(records, STUDY_FIELDS, echo))
     return 0
 
 
 def _run_verify(args: argparse.Namespace) -> int:
-    family = args.family if args.family is not None else "uniform"
-    n_max = args.n_max if args.n_max is not None else 10
-    records = verify_oned(family, n_max)
+    records = verify_oned(args.family, args.n_max)
     echo = {
         "version": __version__,
         "report": "oned",
-        "family": family,
-        "n_max": n_max,
+        "family": args.family,
+        "n_max": args.n_max,
     }
     _write(args.output, render_csv(records, VERIFY_FIELDS, echo))
     return 0
@@ -293,9 +222,11 @@ def _run_verify(args: argparse.Namespace) -> int:
 
 def main(argv=None) -> int:
     parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
     try:
-        args = _apply_config_file(args)
+        if args.config is not None:
+            args = parser.parse_args(_with_config_file(args, argv))
         if args.command == "design":
             return _run_design(args)
         if args.command == "study":

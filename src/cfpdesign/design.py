@@ -92,6 +92,11 @@ class CandidateSet:
         return self.points.shape[1]
 
 
+def _json_float(value) -> float | None:
+    value = float(value)
+    return value if math.isfinite(value) else None
+
+
 @dataclass(frozen=True)
 class DesignResult:
     """Selected points plus the diagnostics of the selection run.
@@ -117,12 +122,14 @@ class DesignResult:
         self.objective_trace.setflags(write=False)
 
     def to_json(self) -> dict:
+        """JSON-ready dict; an infinite determinant or trace entry (beyond the
+        float range) or condition number (singular) becomes None."""
         return {
             "points": [list(row) for row in self.points],
             "pivot_order": list(self.pivot_order),
-            "objective_trace": [float(v) for v in self.objective_trace],
-            "det_modulus": self.det_modulus,
-            "condition_number": self.condition_number,
+            "objective_trace": [_json_float(v) for v in self.objective_trace],
+            "det_modulus": _json_float(self.det_modulus),
+            "condition_number": _json_float(self.condition_number),
             "space": self.space,
             "seed": self.seed,
             "config": self.config,

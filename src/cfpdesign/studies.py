@@ -11,7 +11,7 @@ echoed in comment lines.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -23,13 +23,18 @@ from .basis import (
     det_modulus,
     vandermonde,
 )
-from .design import CandidateSet, afp_select, candidate_set, cfp_select
+from .design import (
+    CandidateSet,
+    DesignResult,
+    afp_select,
+    candidate_set,
+    cfp_select,
+)
 from .elliptic import EllipticConfig, solve_bvp_batch
 from .lsq import solve_unweighted, solve_weighted, validation_error
 from .multiindex import MultiIndexSet, enrich, hyperbolic_cross, total_degree
 from .orthopoly import (
     DensitySpec,
-    eval_phi,
     gauss_rule,
     level_set,
     quadrature_exactness_report,
@@ -109,23 +114,41 @@ def _derive_seed(*parts: int) -> int:
     return int(stream.generate_state(1, dtype=np.uint64)[0])
 
 
-def _index_set(config: StudyConfig, degree: int) -> MultiIndexSet:
+def _degree_setup(config: StudyConfig, degree: int, m_points: int | None = None):
+    """(lam, enriched lam_tilde, M) for one degree; M defaults to
+    ceil(oversampling * N) and must fit in the candidate budget."""
     build = total_degree if config.rule == "TD" else hyperbolic_cross
-    return build(config.dimension, degree)
+    lam = build(config.dimension, degree)
+    if m_points is None:
+        m_points = math.ceil(config.oversampling * len(lam))
+    if m_points > config.candidates:
+        raise ValueError(
+            f"degree {degree} needs {m_points} samples but only "
+            f"{config.candidates} candidates"
+        )
+    lam_tilde = enrich(lam, m_points - len(lam)) if m_points > len(lam) else lam
+    return lam, lam_tilde, m_points
 
 
-def _sample_count(config: StudyConfig, basis_size: int) -> int:
-    return int(math.ceil(config.oversampling * basis_size))
+def _select(
+    config: StudyConfig, method: str, lam_tilde: MultiIndexSet, m_points: int, seed: int
+) -> DesignResult:
+    """Greedy CFP or AFP pivots among config.candidates draws seeded by seed."""
+    cands = candidate_set(
+        config.density, config.dimension, config.candidates, lam_tilde.max_degree, seed
+    )
+    select = cfp_select if method == "CFP" else afp_select
+    return select(cands, lam_tilde, m_points)
+
+
+def _solver(method: str):
+    """CFP designs get the Christoffel-weighted solve, AFP and MC the plain one."""
+    return solve_weighted if method == "CFP" else solve_unweighted
 
 
 def _design_points(
-    config: StudyConfig,
-    method: str,
-    lam: MultiIndexSet,
-    lam_tilde: MultiIndexSet,
-    m_points: int,
-    degree: int,
-    trial: int,
+    config: StudyConfig, method: str, lam_tilde: MultiIndexSet, m_points: int,
+    degree: int, trial: int,
 ) -> np.ndarray:
     """One trial's sample points for a method, drawn from derived sub-seeds."""
     if method == "MC":
@@ -140,45 +163,32 @@ def _design_points(
     cand_seed = _derive_seed(
         config.seed, _STREAM_CANDIDATES, _METHOD_ID[method], degree, trial
     )
-    cands = candidate_set(
-        config.density,
-        config.dimension,
-        config.candidates,
-        lam_tilde.max_degree,
-        cand_seed,
-    )
-    select = cfp_select if method == "CFP" else afp_select
-    return select(cands, lam_tilde, m_points).points
+    return _select(config, method, lam_tilde, m_points, cand_seed).points
 
 
-def _degree_setup(config: StudyConfig, degree: int):
-    lam = _index_set(config, degree)
-    m_points = _sample_count(config, len(lam))
-    if m_points > config.candidates:
-        raise ValueError(
-            f"degree {degree} needs {m_points} samples but only "
-            f"{config.candidates} candidates"
-        )
-    lam_tilde = enrich(lam, m_points - len(lam)) if m_points > len(lam) else lam
-    return lam, lam_tilde, m_points
+def _sweep(config: StudyConfig, trial_value) -> list[dict]:
+    """Mean and 20%/80% quantiles of trial_value over `trials` repetitions,
+    one cell per (method, degree).
 
-
-def _stat_records(
-    method: str, degree: int, basis_size: int, m_points: int, values: np.ndarray
-) -> list[dict]:
-    q20, q80 = np.quantile(values, [0.2, 0.8])
-    stats = (("mean", float(np.mean(values))), ("q20", float(q20)), ("q80", float(q80)))
-    return [
-        {
-            "method": method,
-            "degree": degree,
-            "N": basis_size,
-            "M": m_points,
-            "stat": name,
-            "value": value,
-        }
-        for name, value in stats
-    ]
+    trial_value(method, basis, points, degree, trial) scores one trial's
+    design; basis spans the unenriched index set.
+    """
+    records = []
+    for method in config.methods:
+        for degree in config.degrees:
+            lam, lam_tilde, m_points = _degree_setup(config, degree)
+            basis = ProductBasis.for_density(config.density, lam)
+            values = np.empty(config.trials)
+            for trial in range(config.trials):
+                points = _design_points(
+                    config, method, lam_tilde, m_points, degree, trial
+                )
+                values[trial] = trial_value(method, basis, points, degree, trial)
+            q20, q80 = np.quantile(values, [0.2, 0.8])
+            cell = {"method": method, "degree": degree, "N": len(lam), "M": m_points}
+            for stat, value in (("mean", values.mean()), ("q20", q20), ("q80", q80)):
+                records.append({**cell, "stat": stat, "value": float(value)})
+    return records
 
 
 def study_condition(config: StudyConfig) -> list[dict]:
@@ -188,24 +198,12 @@ def study_condition(config: StudyConfig) -> list[dict]:
     AFP and MC on the plain one. Each cell aggregates `trials` repetitions
     into mean and 20%/80% quantiles.
     """
-    records = []
-    for method in config.methods:
-        for degree in config.degrees:
-            lam, lam_tilde, m_points = _degree_setup(config, degree)
-            basis = ProductBasis.for_density(config.density, lam)
-            space = "Q" if method == "CFP" else "P"
-            kappas = np.empty(config.trials)
-            for trial in range(config.trials):
-                points = _design_points(
-                    config, method, lam, lam_tilde, m_points, degree, trial
-                )
-                kappas[trial] = condition_number(
-                    vandermonde(basis, points, space)
-                )
-            records.extend(
-                _stat_records(method, degree, len(lam), m_points, kappas)
-            )
-    return records
+
+    def kappa(method, basis, points, degree, trial):
+        space = "Q" if method == "CFP" else "P"
+        return condition_number(vandermonde(basis, points, space))
+
+    return _sweep(config, kappa)
 
 
 def _target_exp_negsumsq(y: np.ndarray) -> np.ndarray:
@@ -249,39 +247,24 @@ def study_approx(config: StudyConfig, target) -> list[dict]:
     from an independent sub-seed stream.
     """
     f = resolve_target(config, target)
-    records = []
-    for method in config.methods:
-        for degree in config.degrees:
-            lam, lam_tilde, m_points = _degree_setup(config, degree)
-            basis = ProductBasis.for_density(config.density, lam)
-            solve = solve_weighted if method == "CFP" else solve_unweighted
-            errors = np.empty(config.trials)
-            for trial in range(config.trials):
-                points = _design_points(
-                    config, method, lam, lam_tilde, m_points, degree, trial
-                )
-                surrogate = solve(basis, points, f(points))
-                errors[trial] = validation_error(
-                    surrogate,
-                    f,
-                    config.validation_samples,
-                    _derive_seed(
-                        config.seed,
-                        _STREAM_VALIDATION,
-                        _METHOD_ID[method],
-                        degree,
-                        trial,
-                    ),
-                )
-            records.extend(
-                _stat_records(method, degree, len(lam), m_points, errors)
-            )
-    return records
+
+    def error(method, basis, points, degree, trial):
+        surrogate = _solver(method)(basis, points, f(points))
+        seed = _derive_seed(
+            config.seed, _STREAM_VALIDATION, _METHOD_ID[method], degree, trial
+        )
+        return validation_error(surrogate, f, config.validation_samples, seed)
+
+    return _sweep(config, error)
 
 
 def _verify_record(
-    family: str, n: int, start: str, check: str, value: float, threshold: float, ok: bool
+    family: str, n: int, start: str, check: str, value: float, threshold: float,
+    ok: bool | None = None,
 ) -> dict:
+    """One check; it passes when ok, by default when value <= threshold."""
+    if ok is None:
+        ok = value <= threshold
     return {
         "family": family,
         "N": n,
@@ -332,93 +315,51 @@ def verify_oned(family: str, n_max: int) -> list[dict]:
             matrix = vandermonde(basis, nodes[:, None], "Q")
             kappa = condition_number(matrix)
             detmod = det_modulus(matrix)
-            kvals = christoffel(basis, nodes[:, None])
-            kvals = np.atleast_1d(kvals)
+            kvals = np.atleast_1d(christoffel(basis, nodes[:, None]))
             weights = 1.0 / kvals
             report = quadrature_exactness_report(
                 table, nodes, kvals, max(2 * n - 2, 0)
             )
             membership = float(np.min(np.abs(nodes - y)))
-            records.extend(
-                [
-                    _verify_record(
-                        family, n, label, "condition_number", kappa,
-                        1.0 + 1e-8, kappa <= 1.0 + 1e-8,
-                    ),
-                    _verify_record(
-                        family, n, label, "det_modulus", detmod,
-                        1.0 - 1e-8, detmod >= 1.0 - 1e-8,
-                    ),
-                    _verify_record(
-                        family, n, label, "start_in_set", membership,
-                        1e-8 * max(1.0, abs(y)),
-                        membership <= 1e-8 * max(1.0, abs(y)),
-                    ),
-                    _verify_record(
-                        family, n, label, "min_weight", float(np.min(weights)),
-                        0.0, bool(np.min(weights) > 0.0),
-                    ),
-                    _verify_record(
-                        family, n, label, "weight_sum_error",
-                        abs(float(np.sum(weights)) - 1.0),
-                        1e-12, abs(float(np.sum(weights)) - 1.0) <= 1e-12,
-                    ),
-                    _verify_record(
-                        family, n, label, "quadrature_max_error",
-                        float(np.max(report)), 1e-10,
-                        float(np.max(report)) <= 1e-10,
-                    ),
-                ]
-            )
-            if label != "gauss":
-                continue
-            gauss_dev = float(np.max(np.abs(nodes - gauss_nodes)))
-            records.append(
-                _verify_record(
-                    family, n, label, "gauss_node_recovery", gauss_dev,
-                    1e-10, gauss_dev <= 1e-10,
+            min_weight = float(np.min(weights))
+            checks = [
+                ("condition_number", kappa, 1.0 + 1e-8),
+                ("det_modulus", detmod, 1.0 - 1e-8, detmod >= 1.0 - 1e-8),
+                ("start_in_set", membership, 1e-8 * max(1.0, abs(y))),
+                ("min_weight", min_weight, 0.0, min_weight > 0.0),
+                ("weight_sum_error", abs(float(np.sum(weights)) - 1.0), 1e-12),
+                ("quadrature_max_error", float(np.max(report)), 1e-10),
+            ]
+            if label == "gauss":
+                # greedy recovery: the root goes first, the rest of the level
+                # set and a filler mesh follow
+                others = nodes[np.abs(nodes - y) > 1e-8 * max(1.0, abs(y))]
+                pool = np.concatenate(([y], others, _RECOVERY_MESH[family]))
+                cands = CandidateSet(
+                    points=pool[:, None].copy(),
+                    ensemble_tags=("fixed",) * len(pool),
+                    densities=(density,),
+                    degree_hint=n,
+                    seed=0,
                 )
-            )
-            # greedy recovery: the root goes first, the rest of the level
-            # set and a filler mesh follow
-            others = nodes[np.abs(nodes - y) > 1e-8 * max(1.0, abs(y))]
-            pool = np.concatenate(([y], others, _RECOVERY_MESH[family]))
-            cands = CandidateSet(
-                points=pool[:, None].copy(),
-                ensemble_tags=("fixed",) * len(pool),
-                densities=(density,),
-                degree_hint=n,
-                seed=0,
-            )
-            result = cfp_select(cands, lam, n)
-            selected = np.sort(result.points[:, 0])
-            recovery_dev = float(np.max(np.abs(selected - nodes)))
-            records.append(
-                _verify_record(
-                    family, n, label, "greedy_recovery", recovery_dev,
-                    1e-10, recovery_dev <= 1e-10,
-                )
-            )
+                selected = np.sort(cfp_select(cands, lam, n).points[:, 0])
+                gauss_dev = float(np.max(np.abs(nodes - gauss_nodes)))
+                recovery_dev = float(np.max(np.abs(selected - nodes)))
+                checks.append(("gauss_node_recovery", gauss_dev, 1e-10))
+                checks.append(("greedy_recovery", recovery_dev, 1e-10))
+            records.extend(_verify_record(family, n, label, *c) for c in checks)
     return records
 
 
 def config_echo(config: StudyConfig, **extra) -> dict:
-    """Flat, ordered mapping echoed into CSV headers."""
-    echo = {
-        "version": __version__,
-        "family": config.family,
-        "dimension": config.dimension,
-        "rule": config.rule,
-        "degrees": ",".join(str(k) for k in config.degrees),
-        "oversampling": config.oversampling,
-        "trials": config.trials,
-        "candidates": config.candidates,
-        "seed": config.seed,
-        "methods": ",".join(config.methods),
-        "validation_samples": config.validation_samples,
-        "elliptic_sigma": config.elliptic_sigma,
-        "elliptic_grid_points": config.elliptic_grid_points,
-    }
+    """Flat mapping echoed into CSV headers: the version, then every
+    StudyConfig field in declaration order, then extra."""
+    echo = {"version": __version__}
+    for field in fields(config):
+        value = getattr(config, field.name)
+        if isinstance(value, tuple):
+            value = ",".join(str(v) for v in value)
+        echo[field.name] = value
     echo.update(extra)
     return echo
 

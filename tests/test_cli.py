@@ -9,8 +9,30 @@ import json
 
 import pytest
 
-from cfpdesign import Surrogate, __version__, total_degree
+from cfpdesign import (
+    DensitySpec,
+    Surrogate,
+    __version__,
+    afp_select,
+    candidate_set,
+    cfp_select,
+    enrich,
+    hyperbolic_cross,
+    total_degree,
+)
 from cfpdesign.cli import main
+
+
+def _exit_code(argv):
+    """main's return value, or the code of the usage error argparse raises."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def _reject_constant(name):
+    raise AssertionError(f"bare {name} token is not valid JSON")
 
 
 def test_version_flag(capsys):
@@ -193,6 +215,9 @@ def test_config_file_unknown_key(tmp_path, capsys):
     cfg.write_text("mystery = 4\n")
     assert main(["study", "cond", "--config", str(cfg)]) == 2
     assert "unknown config key" in capsys.readouterr().err
+    cfg.write_text("degree = 3\n")  # argparse alone would read it as --degrees
+    assert main(["study", "cond", "--config", str(cfg)]) == 2
+    assert "unknown config key 'degree'" in capsys.readouterr().err
 
 
 def test_config_file_malformed_line(tmp_path, capsys):
@@ -217,3 +242,84 @@ def test_study_with_bad_degree_budget(capsys):
         ["study", "cond", "--degrees", "9", "--candidates", "10", "-o", "-"]
     ) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "line, option",
+    [("rule = td", "--rule"), ("method = CFP", "--method")],
+)
+def test_design_config_values_meet_flag_choices(tmp_path, capsys, line, option):
+    cfg = tmp_path / "design.cfg"
+    cfg.write_text(f"degree = 2\ncandidates = 200\n{line}\n")
+    out = tmp_path / "design.json"
+    assert _exit_code(["design", "--config", str(cfg), "-o", str(out)]) == 2
+    assert f"argument {option}: invalid choice" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("trials = many", "argument --trials: invalid int value"),
+        ("degrees = 2:x", "argument --degrees: expected e.g. 2:15 or 2,4,8"),
+    ],
+)
+def test_config_value_meets_flag_type(tmp_path, capsys, line, message):
+    cfg = tmp_path / "study.cfg"
+    cfg.write_text(line + "\n")
+    assert _exit_code(["study", "cond", "--config", str(cfg)]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_design_checks_oversampling_like_study(capsys):
+    argv = ["design", "--degree", "2", "--candidates", "200", "--oversampling", "0.99"]
+    assert main(argv) == 2
+    assert "oversampling factor must be at least 1" in capsys.readouterr().err
+
+
+def test_design_json_is_strict_when_det_overflows(capsys):
+    code = main(
+        ["design", "--family", "gaussian", "--dimension", "4", "--rule", "HC",
+         "--degree", "16", "--method", "afp", "--candidates", "1000", "-o", "-"]
+    )
+    assert code == 0
+    payload = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert payload["det_modulus"] is None  # beyond the float range
+    assert None in payload["objective_trace"]
+    finite = [v for v in payload["objective_trace"] if v is not None]
+    assert finite and all(v > 0 for v in finite)
+
+
+@pytest.mark.parametrize(
+    "family, dimension, rule, degree, method, sizing, m_points",
+    [
+        # --samples is the exact count, whatever the oversampling
+        ("uniform", 2, "TD", 4, "cfp", ["--oversampling", "1.5", "--samples", "20"], 20),
+        ("uniform", 2, "HC", 6, "cfp", ["--oversampling", "1.3"], 21),  # ceil(1.3 * 16)
+        ("gaussian", 3, "TD", 2, "afp", ["--oversampling", "1.5"], 15),
+        ("gaussian", 2, "HC", 5, "cfp", ["--samples", "14"], 14),  # M = N, no enrichment
+    ],
+)
+def test_design_matches_library_selection(
+    capsys, family, dimension, rule, degree, method, sizing, m_points
+):
+    seed, n_candidates = 17, 600
+    code = main(
+        ["design", "--family", family, "--dimension", str(dimension),
+         "--rule", rule, "--degree", str(degree), "--method", method,
+         "--candidates", str(n_candidates), "--seed", str(seed), *sizing,
+         "-o", "-"]
+    )
+    assert code == 0
+    payload = json.loads(capsys.readouterr().out)
+
+    build = total_degree if rule == "TD" else hyperbolic_cross
+    lam = build(dimension, degree)
+    lam_tilde = enrich(lam, m_points - len(lam)) if m_points > len(lam) else lam
+    cands = candidate_set(
+        DensitySpec(family), dimension, n_candidates, lam_tilde.max_degree, seed
+    )
+    select = cfp_select if method == "cfp" else afp_select
+    expected = select(cands, lam_tilde, m_points)
+    assert payload["pivot_order"] == list(expected.pivot_order)
+    assert payload["seed"] == seed  # the candidate seed is --seed itself
