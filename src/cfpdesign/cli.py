@@ -170,6 +170,11 @@ def _run_design(args: argparse.Namespace) -> int:
     config = _study_config(args, degrees=(args.degree,))
     method = args.method.upper()
     lam, lam_tilde, m_points = _degree_setup(config, args.degree, args.samples)
+    # a request whose fit cannot run fails before anything is selected or written
+    if args.fit is not None:
+        target = resolve_target(config, args.fit)
+        if m_points < len(lam):
+            raise ValueError(f"need at least {len(lam)} samples, got {m_points}")
     result = _select(config, method, lam_tilde, m_points, config.seed)
     payload = result.to_json()
     payload["config"].update(
@@ -185,7 +190,6 @@ def _run_design(args: argparse.Namespace) -> int:
     _write(args.output, _json_text(payload))
 
     if args.fit is not None:
-        target = resolve_target(config, args.fit)
         basis = ProductBasis.for_density(config.density, lam)
         surrogate = _solver(method)(basis, result.points, target(result.points))
         fit_payload = surrogate.to_json()

@@ -246,6 +246,8 @@ def _greedy_pivot_qr(v: np.ndarray, m_points: int) -> tuple[np.ndarray, np.ndarr
         running_det *= math.sqrt(float(sq[j]))
         trace[k] = running_det
         pivots[k] = j
+        if k == m_points - 1:
+            break  # the residuals after the last pick are never read
         # classical Gram-Schmidt, two passes
         w = v[j] - (q[:k] @ v[j]) @ q[:k]
         w -= (q[:k] @ w) @ q[:k]

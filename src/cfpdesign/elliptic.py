@@ -6,10 +6,27 @@ where the diffusivity is the truncated cosine expansion
     kappa(x, y) = 1 + sigma * sum_{k=1}^{d} cos(2 pi k x) y_k / (k^2 pi^2).
 
 The quantity of interest is u(1/2, y). Since sum 1/(k^2 pi^2) < 1/6,
-sigma = 1 keeps kappa positive for every y in [-1, 1]^d. Discretization is
-conservative-flux second-order finite differences with kappa evaluated at
-cell midpoints; at y = 0 the solution is x (1 - x) and the scheme
-reproduces u(1/2) = 1/4 to rounding.
+sigma = 1 keeps kappa positive for every y in [-1, 1]^d.
+
+Discretization is conservative-flux second-order finite differences on
+gp nodes x_j = j h, h = 1 / (gp - 1), with kappa at the cell midpoints
+m_i = (i + 1/2) h. Row j of the scheme says that the discrete flux
+F_i = kappa(m_i) (u_{i+1} - u_i) / h drops by 2h from cell j - 1 to cell j.
+That system is solved in closed form, not by elimination:
+
+- every mode cos(2 pi k x) is symmetric about x = 1/2, and m_i and
+  1 - m_i = m_{gp-2-i} are both midpoints, so the midpoint kappas read the
+  same backwards and the discrete solution is symmetric about x = 1/2;
+- so the flux is odd about x = 1/2, which together with the constant drop
+  fixes it: F_i = 1 - 2 m_i;
+- summing u_{i+1} - u_i = h F_i / kappa(m_i) from u_0 = 0 over the
+  (gp - 1) / 2 cells left of x = 1/2 gives
+
+      u(1/2, y) = h * sum_{m_i < 1/2} (1 - 2 m_i) / kappa(m_i, y).
+
+This is the exact solution of the discrete system, evaluated with one
+matrix-vector product and no pivoting. At y = 0 the continuous solution is
+x (1 - x) and the scheme reproduces u(1/2) = 1/4 to rounding.
 """
 
 from __future__ import annotations
@@ -54,34 +71,6 @@ def diffusivity(config: EllipticConfig, x: np.ndarray, y: np.ndarray) -> np.ndar
     return 1.0 + config.sigma * (y2 @ _modes(config, np.asarray(x, dtype=float)))
 
 
-def _thomas_midpoint(sub, diag, sup, rhs: float) -> np.ndarray:
-    """Batched tridiagonal solve returning the middle unknown.
-
-    All band arrays have shape (n, interior); the right-hand side is the
-    same constant in every row. Plain forward elimination and back
-    substitution, vectorized across the batch axis.
-    """
-    n, interior = diag.shape
-    cp = np.empty_like(diag)
-    dp = np.empty_like(diag)
-    pivot = diag[:, 0]
-    if np.any(np.abs(pivot) < 1e-300):
-        raise np.linalg.LinAlgError("zero pivot in tridiagonal solve")
-    cp[:, 0] = sup[:, 0] / pivot
-    dp[:, 0] = rhs / pivot
-    for i in range(1, interior):
-        pivot = diag[:, i] - sub[:, i] * cp[:, i - 1]
-        if np.any(np.abs(pivot) < 1e-300):
-            raise np.linalg.LinAlgError("zero pivot in tridiagonal solve")
-        cp[:, i] = sup[:, i] / pivot
-        dp[:, i] = (rhs - sub[:, i] * dp[:, i - 1]) / pivot
-    u = np.empty_like(diag)
-    u[:, interior - 1] = dp[:, interior - 1]
-    for i in range(interior - 2, -1, -1):
-        u[:, i] = dp[:, i] - cp[:, i] * u[:, i + 1]
-    return u[:, (interior - 1) // 2]
-
-
 def solve_bvp_batch(config: EllipticConfig, y: np.ndarray) -> np.ndarray:
     """u(1/2, y) for a batch of parameter points, shape (n, d) -> (n,)."""
     y2 = np.atleast_2d(np.asarray(y, dtype=float))
@@ -89,26 +78,17 @@ def solve_bvp_batch(config: EllipticConfig, y: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"parameters have dimension {y2.shape[1]}, config has {config.dimension}"
         )
+    bad = np.flatnonzero(~np.isfinite(y2).all(axis=1))
+    if bad.size:
+        raise ValueError(f"parameter point {int(bad[0])} is not finite")
     gp = config.grid_points
     h = 1.0 / (gp - 1)
-    midpoints = (np.arange(gp - 1) + 0.5) * h
-    kappa = diffusivity(config, midpoints, y2)  # (n, gp - 1)
+    # the (gp - 1) / 2 cell midpoints left of x = 1/2; the flux there is 1 - 2x
+    x = (np.arange((gp - 1) // 2) + 0.5) * h
+    kappa = diffusivity(config, x, y2)
     if np.any(kappa <= 0.0):
         raise ValueError("kappa is not positive for some parameter point")
-    # interior unknowns u_1 .. u_{gp-2}; flux form couples neighbors through
-    # the midpoint kappas
-    left = kappa[:, :-1]
-    right = kappa[:, 1:]
-    diag = left + right
-    sub = np.empty_like(diag)
-    sub[:, 0] = 0.0
-    sub[:, 1:] = -left[:, 1:]
-    sup = np.empty_like(diag)
-    sup[:, -1] = 0.0
-    sup[:, :-1] = -right[:, :-1]
-    rhs = 2.0 * h * h
-    # interior count gp - 2 is odd, its middle entry is the x = 1/2 node
-    return _thomas_midpoint(sub, diag, sup, rhs)
+    return h * ((1.0 / kappa) @ (1.0 - 2.0 * x))
 
 
 def solve_bvp(config: EllipticConfig, y) -> float:

@@ -237,6 +237,23 @@ def test_design_with_too_few_candidates(capsys):
     assert "only" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--family", "gaussian", "--degree", "2", "--fit", "elliptic"],
+         "needs uniform parameters"),
+        (["--samples", "3", "--degree", "4", "--fit", "exp_negsumsq", "-o", "-"],
+         "need at least 15 samples, got 3"),
+    ],
+)
+def test_design_fit_that_cannot_run_writes_nothing(capsys, argv, message):
+    argv = ["design", "--candidates", "200", "--surrogate-output", "-", *argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
 def test_study_with_bad_degree_budget(capsys):
     assert main(
         ["study", "cond", "--degrees", "9", "--candidates", "10", "-o", "-"]

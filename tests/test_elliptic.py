@@ -5,6 +5,9 @@ kappa u' = c - 2x with c fixed by the boundary conditions, so u(1/2) is a
 ratio of three one-dimensional integrals. Adaptive quadrature of that form
 is the oracle; the frozen values below were produced by it and the in-test
 recomputation must agree before they are used.
+
+The discrete solution itself is checked against the full tridiagonal
+system of the conservative-flux scheme, solved by scipy's banded LU.
 """
 
 import math
@@ -12,6 +15,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.linalg import solve_banded
 
 from cfpdesign import EllipticConfig, diffusivity, solve_bvp, solve_bvp_batch
 
@@ -89,6 +93,39 @@ def test_richardson_extrapolation():
     assert rich == pytest.approx(EXACT_MID[1.0], abs=1e-10)
 
 
+def _banded_midpoint(config: EllipticConfig, y: np.ndarray) -> float:
+    """u(1/2) from the full (gp - 2)-unknown flux-form system."""
+    gp = config.grid_points
+    h = 1.0 / (gp - 1)
+    kappa = diffusivity(config, (np.arange(gp - 1) + 0.5) * h, y)[0]
+    bands = np.zeros((3, gp - 2))
+    bands[0, 1:] = -kappa[1:-1]  # superdiagonal
+    bands[1] = kappa[:-1] + kappa[1:]
+    bands[2, :-1] = -kappa[1:-1]  # subdiagonal
+    u = solve_banded((1, 1), bands, np.full(gp - 2, 2.0 * h * h))
+    return float(u[(gp - 3) // 2])
+
+
+@pytest.mark.parametrize("dimension", [1, 2, 8])
+@pytest.mark.parametrize("grid_points", [3, 5, 101, 1001])
+def test_solver_matches_banded_system(dimension, grid_points):
+    cfg = EllipticConfig(dimension=dimension, grid_points=grid_points)
+    ys = np.random.default_rng(dimension * grid_points).uniform(
+        -1.0, 1.0, (4, dimension)
+    )
+    ys[0] = 0.0
+    oracle = [_banded_midpoint(cfg, y) for y in ys]
+    np.testing.assert_allclose(solve_bvp_batch(cfg, ys), oracle, rtol=1e-10)
+
+
+def test_solver_matches_banded_system_at_study_size():
+    # the validation batch of the elliptic study: 1000 points, d = 2, gp = 1001
+    cfg = EllipticConfig(dimension=2, grid_points=1001)
+    ys = np.random.default_rng(9).uniform(-1.0, 1.0, (1000, 2))
+    oracle = [_banded_midpoint(cfg, y) for y in ys]
+    np.testing.assert_allclose(solve_bvp_batch(cfg, ys), oracle, rtol=1e-10)
+
+
 def test_batch_matches_scalar():
     rng = np.random.default_rng(0)
     ys = rng.uniform(-1.0, 1.0, (5, 3))
@@ -118,6 +155,16 @@ def test_nonpositive_kappa_rejected_at_solve():
         solve_bvp(cfg, [-12.0])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_nonfinite_parameters_rejected(bad):
+    cfg = EllipticConfig(dimension=2, grid_points=101)
+    ys = np.zeros((4, 2))
+    ys[2, 1] = bad
+    ys[3, 0] = bad
+    with pytest.raises(ValueError, match="parameter point 2 is not finite"):
+        solve_bvp_batch(cfg, ys)
+
+
 def test_parameter_dimension_mismatch():
     cfg = EllipticConfig(dimension=2, grid_points=101)
     with pytest.raises(ValueError):
@@ -138,3 +185,10 @@ def test_diffusivity_values_and_symmetry():
     np.testing.assert_allclose(
         diffusivity(cfg3, x, y), diffusivity(cfg3, 1.0 - x, y), rtol=1e-12
     )
+    # the cell midpoints of every odd grid mirror onto each other, so the
+    # midpoint kappas read the same backwards
+    for gp in (3, 5, 101, 1001):
+        mid = (np.arange(gp - 1) + 0.5) / (gp - 1)
+        np.testing.assert_allclose(mid[::-1], 1.0 - mid, rtol=0.0, atol=1e-15)
+        kappa = diffusivity(cfg3, mid, y)
+        np.testing.assert_allclose(kappa, kappa[:, ::-1], rtol=1e-12)
