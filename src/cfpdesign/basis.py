@@ -104,14 +104,19 @@ def _as_points(basis: ProductBasis, points) -> np.ndarray:
 
 
 def _psi_matrix(basis: ProductBasis, pts: np.ndarray) -> np.ndarray:
-    """Plain evaluations psi_alpha(y_i), shape (m, N)."""
+    """Plain evaluations psi_alpha(y_i), shape (m, N), C-ordered: Christoffel
+    row sums and the pivot matvec add in memory order, so layout sets bits."""
     idx = np.asarray(basis.index_set.indices, dtype=int)
-    m = pts.shape[0]
-    out = np.ones((m, len(basis.index_set)))
+    out = None
     for j in range(basis.dimension):
         deg = int(idx[:, j].max())
-        seq = eval_phi_sequence(basis.tables[j], deg, pts[:, j])  # (deg+1, m)
-        out *= seq[idx[:, j], :].T
+        # (m, deg+1), so gathering along axis 1 gives a C-ordered (m, N)
+        seq = np.ascontiguousarray(eval_phi_sequence(basis.tables[j], deg, pts[:, j]).T)
+        factor = np.take(seq, idx[:, j], axis=1)
+        if out is None:
+            out = factor
+        else:
+            out *= factor
     return out
 
 

@@ -24,6 +24,7 @@ the same type and choice checks as flags, e.g.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import fields
@@ -125,7 +126,9 @@ def _add_shared_options(parser: argparse.ArgumentParser, sampling: bool = True) 
     parser.add_argument("--output", "-o", help="output path, '-' for stdout")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """Built once per process (it costs over ten parses); parsing leaves it as is."""
     parser = argparse.ArgumentParser(
         prog="cfpdesign",
         description="deterministic designs for weighted polynomial least squares",

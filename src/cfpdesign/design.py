@@ -210,9 +210,13 @@ def candidate_set(
 
 
 def _unique_rows(points: np.ndarray) -> np.ndarray:
-    """Indices of first occurrences, in original order."""
-    _, first = np.unique(points, axis=0, return_index=True)
-    return np.sort(first)
+    """Indices of first occurrences, in original order. The stable sort puts
+    each first occurrence at the head of its run of equal rows."""
+    order = np.lexsort(points.T[::-1])
+    ranked = points[order]
+    leads = np.ones(len(order), dtype=bool)
+    leads[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+    return np.sort(order[leads])
 
 
 def _tied_lowest(order: np.ndarray, values: np.ndarray, best: float, window: float) -> int:

@@ -16,12 +16,15 @@ from cfpdesign import (
     DesignMatrix,
     MultiIndexSet,
     ProductBasis,
+    candidate_set,
     christoffel,
     condition_number,
     det_modulus,
+    eval_phi_sequence,
     eval_row,
     eval_rows,
     gauss_rule,
+    hyperbolic_cross,
     recurrence_coefficients,
     sample_density,
     total_degree,
@@ -70,6 +73,41 @@ def test_q_rows_reject_overflowed_or_vanishing_christoffel_sums():
     with pytest.raises(ValueError, match="point 0"):
         eval_rows(no_constant, [[0.0]], "Q")
     assert eval_rows(no_constant, [[0.0]], "P")[0, 0] == 0.0
+
+
+def _rows_in_coordinate_order(basis, pts, space):
+    """Rows built from ones, one coordinate factor at a time, then Q-scaled."""
+    idx = np.asarray(basis.index_set.indices)
+    psi = np.ones((len(pts), len(idx)))
+    for j, table in enumerate(basis.tables):
+        seq = eval_phi_sequence(table, int(idx[:, j].max()), pts[:, j])
+        psi *= seq[idx[:, j], :].T
+    if space == "P":
+        return psi
+    k = np.sum(psi * psi, axis=1)
+    return psi / np.sqrt(k)[:, None]
+
+
+@pytest.mark.parametrize(
+    "density, index_set",
+    [
+        (GAUSSIAN, total_degree(1, 30)),
+        (UNIFORM, total_degree(2, 15)),
+        (GAUSSIAN, hyperbolic_cross(4, 8)),
+    ],
+    ids=["gaussian-d1-TD30", "uniform-d2-TD15", "gaussian-d4-HC8"],
+)
+def test_eval_rows_are_c_ordered_and_bit_equal_at_study_size(density, index_set):
+    # an F-ordered array of equal values sums each row in another order, so
+    # the Q rows, and with them the selected points, change in the last bits
+    basis = ProductBasis.for_density(density, index_set)
+    degree = index_set.max_degree
+    pts = candidate_set(density, index_set.dimension, 10_000, degree, seed=5).points
+    for space in ("P", "Q"):
+        rows = eval_rows(basis, pts, space)
+        assert rows.flags.c_contiguous
+        expected = _rows_in_coordinate_order(basis, pts, space)
+        assert rows.tobytes() == expected.tobytes()
 
 
 def test_christoffel_hand_values():

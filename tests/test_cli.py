@@ -20,7 +20,7 @@ from cfpdesign import (
     hyperbolic_cross,
     total_degree,
 )
-from cfpdesign.cli import main
+from cfpdesign.cli import _build_parser, main
 
 
 def _exit_code(argv):
@@ -208,6 +208,39 @@ def test_config_file_fills_unset_options(tmp_path, capsys):
     assert "# trials = 1" in text  # explicit flag beats the file
     assert "# seed = 3" in text
     assert "# validation_samples = 40" in text
+
+
+def test_parser_is_reused_across_calls(tmp_path, capsys):
+    # the parser is built once per process; a usage error, a config file and
+    # plain flags before a call must not change what that call prints
+    cfg = tmp_path / "design.cfg"
+    cfg.write_text("degree = 2\ncandidates = 200\nmethod = afp\nseed = 3\n")
+    calls = [
+        ["design", "--family", "triangular"],
+        ["design", "--config", str(cfg), "-o", "-"],
+        ["design", "--degree", "3", "--candidates", "300", "--seed", "2", "-o", "-"],
+        ["study", "cond", "--degrees", "2:3", "--trials", "2", "--candidates", "200"],
+    ]
+
+    def run(fresh_parser):
+        results = []
+        for argv in calls:
+            if fresh_parser:
+                _build_parser.cache_clear()
+            code = _exit_code(argv)
+            captured = capsys.readouterr()
+            results.append((code, captured.out, captured.err))
+        return results
+
+    fresh = run(fresh_parser=True)
+    _build_parser.cache_clear()
+    parser = _build_parser()
+    reused = run(fresh_parser=False)
+    assert _build_parser() is parser
+    assert _build_parser.cache_info().misses == 1
+    assert [code for code, _, _ in reused] == [2, 0, 0, 0]
+    assert all(out for _, out, _ in reused[1:])
+    assert reused == fresh
 
 
 def test_config_file_unknown_key(tmp_path, capsys):

@@ -37,6 +37,7 @@ from cfpdesign import (
     total_degree,
     vandermonde,
 )
+from cfpdesign.design import _unique_rows
 
 UNIFORM = DensitySpec.uniform()
 GAUSSIAN = DensitySpec.gaussian()
@@ -376,6 +377,29 @@ def test_duplicate_candidates_are_ignored():
     result = cfp_select(cands, total_degree(1, 2), 3)
     assert set(result.pivot_order) <= {0, 1, 3}
     assert len(set(result.pivot_order)) == 3
+
+
+def _first_occurrences(points):
+    _, first = np.unique(points, axis=0, return_index=True)
+    return np.sort(first)
+
+
+_DRAW = candidate_set(UNIFORM, 2, 10_000, 15, seed=9).points
+_DEDUP_CASES = {
+    "later-duplicates": [[0.1, 0.2], [0.3, 0.4], [0.1, 0.2], [0.5, 0.6], [0.3, 0.4]],
+    "signed-zeros": [[0.0, 1.0], [-0.0, 1.0], [1.0, -0.0], [1.0, 0.0], [-0.0, -0.0]],
+    "one-row": [[0.7, -0.2]],
+    "all-equal": [[0.25, -0.5]] * 6,
+    "d1": [[0.3], [-0.1], [0.3], [-0.0], [0.0], [-0.1], [0.9]],
+    "d4": np.vstack([np.eye(4), np.eye(4)[::-1], -np.eye(4)]),
+    "draw-10k-plus-50-copies": np.vstack([_DRAW, _DRAW[:50]]),
+}
+
+
+@pytest.mark.parametrize("case", _DEDUP_CASES)
+def test_unique_rows_match_np_unique(case):
+    points = np.asarray(_DEDUP_CASES[case], dtype=float)
+    np.testing.assert_array_equal(_unique_rows(points), _first_occurrences(points))
 
 
 def test_rank_deficient_candidates_raise():
