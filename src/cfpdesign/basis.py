@@ -39,6 +39,10 @@ SPACES = ("P", "Q")
 
 # singular values below this count as numerically zero
 SINGULAR_FLOOR = 1e-300
+# float64 values per row block of the batch kernels (basis rows here, the
+# elliptic solve): 256 KB, so a block's temporaries stay in the L2 cache and
+# no temporary the size of the whole batch is allocated
+ROW_BLOCK_VALUES = 2**15
 # log of the largest finite float
 LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
@@ -103,44 +107,66 @@ def _as_points(basis: ProductBasis, points) -> np.ndarray:
     return pts
 
 
-def _psi_matrix(basis: ProductBasis, pts: np.ndarray) -> np.ndarray:
-    """Plain evaluations psi_alpha(y_i), shape (m, N), C-ordered: Christoffel
-    row sums and the pivot matvec add in memory order, so layout sets bits."""
+def _row_blocks(m: int, width: int):
+    """Consecutive row slices covering range(m), each holding at most
+    ROW_BLOCK_VALUES values of the given row width (one row at least)."""
+    step = max(1, ROW_BLOCK_VALUES // width)
+    for start in range(0, m, step):
+        yield slice(start, min(start + step, m))
+
+
+def _rows_and_sums(basis: ProductBasis, points, space: str | None):
+    """(rows, Christoffel sums) in row blocks; space "P", "Q" or None.
+
+    Each block of psi_alpha(y_i) is gathered and multiplied in coordinate
+    order straight into its rows of the one C-ordered (m, N) output:
+    Christoffel row sums and the pivot matvec add in memory order, so layout
+    sets bits. "P" returns no sums; None keeps no rows, only the unchecked
+    sums. "Q" checks each block's sums and scales its rows to unit norm; a
+    sum that overflowed or vanished raises ValueError naming the point.
+    """
+    pts = _as_points(basis, points)
     idx = np.asarray(basis.index_set.indices, dtype=int)
-    out = None
-    for j in range(basis.dimension):
-        deg = int(idx[:, j].max())
-        # (m, deg+1), so gathering along axis 1 gives a C-ordered (m, N)
-        seq = np.ascontiguousarray(eval_phi_sequence(basis.tables[j], deg, pts[:, j]).T)
-        factor = np.take(seq, idx[:, j], axis=1)
-        if out is None:
-            out = factor
-        else:
-            out *= factor
-    return out
+    m, n = len(pts), len(idx)
+    # (m, deg+1) per coordinate, so gathering along axis 1 gives C-ordered rows
+    seqs = [
+        np.ascontiguousarray(eval_phi_sequence(t, int(idx[:, j].max()), pts[:, j]).T)
+        for j, t in enumerate(basis.tables)
+    ]
+    rows = None if space is None else np.empty((m, n))
+    sums = None if space == "P" else np.empty(m)
+    for blk in _row_blocks(m, n):
+        out = None if rows is None else rows[blk]
+        # the indices are in range, so "clip" only skips take's buffered copy
+        psi = np.take(seqs[0][blk], idx[:, 0], axis=1, out=out, mode="clip")
+        for j in range(1, len(seqs)):
+            psi *= np.take(seqs[j][blk], idx[:, j], axis=1)
+        if sums is not None:
+            k = sums[blk] = np.sum(psi * psi, axis=1)
+        if space == "Q":
+            bad = np.flatnonzero(~(np.isfinite(k) & (k > 0.0)))
+            if bad.size:
+                i = blk.start + int(bad[0])
+                raise ValueError(
+                    f"Christoffel sum {float(sums[i])} at point {i} "
+                    f"{pts[i].tolist()} is not positive and finite "
+                    f"(basis degree {basis.index_set.max_degree})"
+                )
+            psi /= np.sqrt(k)[:, None]
+    return rows, sums
 
 
 def eval_rows(basis: ProductBasis, points, space: str) -> np.ndarray:
-    """Basis rows at many points, shape (m, N). space is "P" or "Q".
+    """Basis rows at many points, shape (m, N), C-ordered. space is "P" or "Q".
 
+    Rows are evaluated in blocks sized by ROW_BLOCK_VALUES and written
+    into the one output array, so no other temporary of its size appears.
     Q rows need a positive finite Christoffel sum at every point; a sum that
     overflowed or vanished raises ValueError naming the point.
     """
     if space not in SPACES:
         raise ValueError(f"space must be one of {SPACES}")
-    pts = _as_points(basis, points)
-    psi = _psi_matrix(basis, pts)
-    if space == "P":
-        return psi
-    k = np.sum(psi * psi, axis=1)
-    bad = np.flatnonzero(~(np.isfinite(k) & (k > 0.0)))
-    if bad.size:
-        i = int(bad[0])
-        raise ValueError(
-            f"Christoffel sum {float(k[i])} at point {i} {pts[i].tolist()} is not "
-            f"positive and finite (basis degree {basis.index_set.max_degree})"
-        )
-    return psi / np.sqrt(k)[:, None]
+    return _rows_and_sums(basis, points, space)[0]
 
 
 def eval_row(basis: ProductBasis, y, space: str) -> np.ndarray:
@@ -149,10 +175,12 @@ def eval_row(basis: ProductBasis, y, space: str) -> np.ndarray:
 
 
 def christoffel(basis: ProductBasis, y):
-    """K(y) = sum_alpha psi_alpha(y)^2; scalar in, float out."""
-    pts = _as_points(basis, y)
-    psi = _psi_matrix(basis, pts)
-    k = np.sum(psi * psi, axis=1)
+    """K(y) = sum_alpha psi_alpha(y)^2; scalar in, float out.
+
+    Evaluated in row blocks without keeping the rows, and not checked: a
+    sum that overflowed comes back as inf.
+    """
+    k = _rows_and_sums(basis, y, None)[1]
     if np.asarray(y).ndim <= 1:
         return float(k[0])
     return k
@@ -207,7 +235,16 @@ def det_modulus(matrix) -> float:
     m, n = vals.shape
     if m > n:
         raise ValueError(f"determinant modulus needs m <= N, got {m} x {n}")
-    sigma = np.linalg.svd(vals, compute_uv=False)
+    return _det_from_singular(np.linalg.svd(vals, compute_uv=False))
+
+
+def condition_number(matrix) -> float:
+    """Ratio of extreme singular values; +inf when numerically singular."""
+    return _cond_from_singular(np.linalg.svd(_values(matrix), compute_uv=False))
+
+
+def _det_from_singular(sigma: np.ndarray) -> float:
+    """det_modulus from descending singular values."""
     with np.errstate(divide="ignore"):
         logs = np.log(sigma)
     # sigma is descending, so np.prod's running product peaks at the
@@ -218,10 +255,8 @@ def det_modulus(matrix) -> float:
     return math.exp(log_det) if log_det < LOG_FLOAT_MAX else math.inf
 
 
-def condition_number(matrix) -> float:
-    """Ratio of extreme singular values; +inf when numerically singular."""
-    vals = _values(matrix)
-    sigma = np.linalg.svd(vals, compute_uv=False)
+def _cond_from_singular(sigma: np.ndarray) -> float:
+    """condition_number from descending singular values."""
     smin = float(sigma[-1])
     if smin < SINGULAR_FLOOR:
         return math.inf

@@ -26,6 +26,8 @@ import numpy as np
 from .basis import (
     ProductBasis,
     RankDeficientError,
+    _cond_from_singular,
+    _det_from_singular,
     condition_number,
     det_modulus,
     eval_rows,
@@ -292,13 +294,14 @@ def _qr_select(
     v = eval_rows(basis, pts, space)
     local, trace = _greedy_pivot_qr(v, m_points)
     pivots = unique[local]
-    selected = v[local]
+    # m_points <= N rows, so both diagnostics come from one SVD
+    sigma = np.linalg.svd(v[local], compute_uv=False)
     return DesignResult(
         points=candidates.points[pivots].copy(),
         pivot_order=tuple(int(i) for i in pivots),
         objective_trace=trace,
-        det_modulus=det_modulus(selected),
-        condition_number=condition_number(selected),
+        det_modulus=_det_from_singular(sigma),
+        condition_number=_cond_from_singular(sigma),
         space=space,
         seed=candidates.seed,
         config={

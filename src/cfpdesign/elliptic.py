@@ -25,8 +25,9 @@ That system is solved in closed form, not by elimination:
       u(1/2, y) = h * sum_{m_i < 1/2} (1 - 2 m_i) / kappa(m_i, y).
 
 This is the exact solution of the discrete system, evaluated with one
-matrix-vector product and no pivoting. At y = 0 the continuous solution is
-x (1 - x) and the scheme reproduces u(1/2) = 1/4 to rounding.
+matrix-vector product per row block of parameter points and no pivoting.
+At y = 0 the continuous solution is x (1 - x) and the scheme reproduces
+u(1/2) = 1/4 to rounding.
 """
 
 from __future__ import annotations
@@ -35,6 +36,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .basis import _row_blocks
 
 __all__ = ["EllipticConfig", "diffusivity", "solve_bvp", "solve_bvp_batch"]
 
@@ -65,14 +68,23 @@ def _modes(config: EllipticConfig, x: np.ndarray) -> np.ndarray:
     return np.cos(2.0 * math.pi * k * x[None, :]) / (k * k * math.pi**2)
 
 
+def _kappa(config: EllipticConfig, modes: np.ndarray, y2: np.ndarray) -> np.ndarray:
+    """kappa for parameter rows y2 on the grid whose _modes are given."""
+    return 1.0 + config.sigma * (y2 @ modes)
+
+
 def diffusivity(config: EllipticConfig, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """kappa on a grid of x for a batch of parameters, shape (n, len(x))."""
     y2 = np.atleast_2d(np.asarray(y, dtype=float))
-    return 1.0 + config.sigma * (y2 @ _modes(config, np.asarray(x, dtype=float)))
+    return _kappa(config, _modes(config, np.asarray(x, dtype=float)), y2)
 
 
 def solve_bvp_batch(config: EllipticConfig, y: np.ndarray) -> np.ndarray:
-    """u(1/2, y) for a batch of parameter points, shape (n, d) -> (n,)."""
+    """u(1/2, y) for a batch of parameter points, shape (n, d) -> (n,).
+
+    The batch is solved in row blocks sized by ROW_BLOCK_VALUES (kappa
+    values), so no kappa array of the whole batch is allocated.
+    """
     y2 = np.atleast_2d(np.asarray(y, dtype=float))
     if y2.shape[1] != config.dimension:
         raise ValueError(
@@ -85,10 +97,15 @@ def solve_bvp_batch(config: EllipticConfig, y: np.ndarray) -> np.ndarray:
     h = 1.0 / (gp - 1)
     # the (gp - 1) / 2 cell midpoints left of x = 1/2; the flux there is 1 - 2x
     x = (np.arange((gp - 1) // 2) + 0.5) * h
-    kappa = diffusivity(config, x, y2)
-    if np.any(kappa <= 0.0):
-        raise ValueError("kappa is not positive for some parameter point")
-    return h * ((1.0 / kappa) @ (1.0 - 2.0 * x))
+    modes = _modes(config, x)
+    flux = 1.0 - 2.0 * x
+    u = np.empty(len(y2))
+    for blk in _row_blocks(len(y2), len(x)):
+        kappa = _kappa(config, modes, y2[blk])
+        if kappa.min() <= 0.0:
+            raise ValueError("kappa is not positive for some parameter point")
+        u[blk] = np.divide(1.0, kappa, out=kappa) @ flux
+    return h * u
 
 
 def solve_bvp(config: EllipticConfig, y) -> float:

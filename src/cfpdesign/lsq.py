@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import ProductBasis, RankDeficientError, christoffel, eval_rows
+from .basis import ProductBasis, RankDeficientError, _rows_and_sums, eval_rows
 from .multiindex import MultiIndexSet
 from .orthopoly import DensitySpec, sample_density
 
@@ -74,9 +74,8 @@ def solve_weighted(
 ) -> Surrogate:
     """Fit with Christoffel weights: rows and data scaled by 1/sqrt(K)."""
     values = np.asarray(values, dtype=float)
-    q = eval_rows(basis, points, "Q")
-    k = christoffel(basis, points)
-    k = np.atleast_1d(np.asarray(k, dtype=float))
+    # one row pass gives the Q rows and the Christoffel sums that scale the data
+    q, k = _rows_and_sums(basis, points, "Q")
     coeff = _lstsq(q, values / np.sqrt(k))
     return Surrogate(basis=basis, coefficients=coeff)
 

@@ -6,6 +6,7 @@ invariance under rotating the basis, all with hand examples pinned first.
 """
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -30,6 +31,7 @@ from cfpdesign import (
     total_degree,
     vandermonde,
 )
+from cfpdesign.basis import ROW_BLOCK_VALUES
 
 UNIFORM = DensitySpec.uniform()
 GAUSSIAN = DensitySpec.gaussian()
@@ -108,6 +110,44 @@ def test_eval_rows_are_c_ordered_and_bit_equal_at_study_size(density, index_set)
         assert rows.flags.c_contiguous
         expected = _rows_in_coordinate_order(basis, pts, space)
         assert rows.tobytes() == expected.tobytes()
+
+
+def test_eval_rows_bit_equal_across_block_boundaries():
+    index_set = total_degree(2, 15)
+    basis = ProductBasis.for_density(UNIFORM, index_set)
+    rows_per_block = ROW_BLOCK_VALUES // len(index_set)
+    pts = candidate_set(UNIFORM, 2, 2 * rows_per_block, 15, seed=6).points
+    for m in (1, rows_per_block - 1, rows_per_block + 1):
+        for space in ("P", "Q"):
+            expected = _rows_in_coordinate_order(basis, pts[:m], space)
+            assert eval_rows(basis, pts[:m], space).tobytes() == expected.tobytes()
+        psi = _rows_in_coordinate_order(basis, pts[:m], "P")
+        assert christoffel(basis, pts[:m]).tobytes() == np.sum(psi * psi, axis=1).tobytes()
+
+
+def test_christoffel_failure_names_its_point_past_the_first_block():
+    hermite = ProductBasis.for_density(GAUSSIAN, total_degree(1, 400))
+    pts = np.zeros((10_000, 1))
+    pts[5000] = 30.0
+    pts[7000] = 40.0
+    with np.errstate(over="ignore"), pytest.raises(
+        ValueError, match=r"point 5000 \[30.0\]"
+    ):
+        eval_rows(hermite, pts, "Q")
+
+
+@pytest.mark.parametrize("space", ["P", "Q"])
+def test_eval_rows_allocates_no_second_output_sized_array(space):
+    basis = ProductBasis.for_density(UNIFORM, total_degree(2, 15))
+    pts = candidate_set(UNIFORM, 2, 10_000, 15, seed=5).points
+    tracemalloc.start()
+    try:
+        rows = eval_rows(basis, pts, space)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the output, the per-coordinate sequences and one block of temporaries
+    assert peak <= 1.5 * rows.nbytes
 
 
 def test_christoffel_hand_values():

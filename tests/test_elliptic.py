@@ -11,6 +11,7 @@ system of the conservative-flux scheme, solved by scipy's banded LU.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from scipy.integrate import quad
 from scipy.linalg import solve_banded
 
 from cfpdesign import EllipticConfig, diffusivity, solve_bvp, solve_bvp_batch
+from cfpdesign.basis import ROW_BLOCK_VALUES
 
 # flux-integral values for d = 1, sigma = 1 (quad, epsabs 1e-14)
 EXACT_MID = {
@@ -134,6 +136,52 @@ def test_batch_matches_scalar():
     single = np.array([solve_bvp(cfg, row) for row in ys])
     np.testing.assert_allclose(batch, single, rtol=1e-12)
     np.testing.assert_array_equal(batch, solve_bvp_batch(cfg, ys))
+
+
+STUDY_BVP = EllipticConfig(dimension=2, grid_points=1001)
+# parameter rows per solve block at the study grid: 500 midpoints each
+BLOCK_ROWS = max(1, ROW_BLOCK_VALUES // ((STUDY_BVP.grid_points - 1) // 2))
+
+
+def _unblocked_flux_sum(config: EllipticConfig, ys: np.ndarray) -> np.ndarray:
+    """The half-grid flux sum over the whole batch in one matrix product."""
+    gp = config.grid_points
+    h = 1.0 / (gp - 1)
+    x = (np.arange((gp - 1) // 2) + 0.5) * h
+    return h * ((1.0 / diffusivity(config, x, ys)) @ (1.0 - 2.0 * x))
+
+
+@pytest.mark.parametrize(
+    "n", [0, 1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 10_000]
+)
+def test_blocked_solve_matches_unblocked_sum(n):
+    ys = np.random.default_rng(n).uniform(-1.0, 1.0, (n, 2))
+    u = solve_bvp_batch(STUDY_BVP, ys)
+    assert u.shape == (n,)
+    # BLAS may sum each row's product in another order for another block size
+    np.testing.assert_allclose(u, _unblocked_flux_sum(STUDY_BVP, ys), rtol=1e-14, atol=0.0)
+
+
+def test_bad_points_past_the_first_block_rejected():
+    ys = np.zeros((3 * BLOCK_ROWS, 2))
+    ys[2 * BLOCK_ROWS + 5, 0] = -12.0
+    with pytest.raises(ValueError, match="not positive"):
+        solve_bvp_batch(STUDY_BVP, ys)
+    ys[BLOCK_ROWS + 3, 1] = math.nan
+    with pytest.raises(ValueError, match=f"parameter point {BLOCK_ROWS + 3} is not finite"):
+        solve_bvp_batch(STUDY_BVP, ys)
+
+
+def test_solve_allocates_no_batch_sized_temporary():
+    # the (n, 500) kappa of 10k points is 40 MB; a solve block is 256 KB
+    ys = np.random.default_rng(8).uniform(-1.0, 1.0, (10_000, 2))
+    tracemalloc.start()
+    try:
+        solve_bvp_batch(STUDY_BVP, ys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
 
 
 def test_config_validation():
