@@ -53,8 +53,11 @@ class EllipticConfig:
             raise ValueError("dimension must be positive")
         if self.grid_points < 3 or self.grid_points % 2 == 0:
             raise ValueError("grid_points must be odd and at least 3")
+        if not math.isfinite(self.sigma):
+            raise ValueError(f"sigma must be finite, got {self.sigma}")
+        # the cosine sum spans [-reach, reach] on [-1,1]^d whatever sigma's sign
         k = np.arange(1, self.dimension + 1, dtype=float)
-        reach = self.sigma * float(np.sum(1.0 / (k * k * math.pi**2)))
+        reach = abs(self.sigma) * float(np.sum(1.0 / (k * k * math.pi**2)))
         if reach >= 1.0:
             raise ValueError(
                 f"sigma={self.sigma} allows kappa <= 0 on [-1,1]^d "

@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 __all__ = [
     "UNIFORM",
@@ -163,6 +162,8 @@ def gauss_rule(table: RecurrenceTable, n: int) -> tuple[np.ndarray, np.ndarray]:
     order; weights are the squared first components of its orthonormal
     eigenvectors and sum to one.
     """
+    from scipy.linalg import eigh_tridiagonal  # deferred: ~0.3 s of import
+
     diag, off = _jacobi_bands(table, n)
     nodes, vecs = eigh_tridiagonal(diag, off)
     weights = vecs[0, :] ** 2
@@ -201,6 +202,8 @@ def level_set(table: RecurrenceTable, n: int, y: float) -> np.ndarray:
     polynomial. y itself is always a member. Falls back to sign-change
     bisection if the eigensolve fails.
     """
+    from scipy.linalg import eigh_tridiagonal  # deferred: ~0.3 s of import
+
     c = r_ratio(table, n, y)
     if math.isinf(c):
         raise ValueError(

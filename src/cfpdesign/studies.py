@@ -92,6 +92,10 @@ class StudyConfig:
             raise ValueError("dimension must be positive")
         if len(self.degrees) == 0 or any(k < 0 for k in self.degrees):
             raise ValueError("degrees must be a nonempty tuple of k >= 0")
+        if not math.isfinite(self.oversampling):
+            raise ValueError(
+                f"oversampling factor must be finite, got {self.oversampling}"
+            )
         if self.oversampling < 1.0:
             raise ValueError("oversampling factor must be at least 1")
         if self.trials < 1:

@@ -327,6 +327,22 @@ def test_design_checks_oversampling_like_study(capsys):
     assert "oversampling factor must be at least 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("factor", ["nan", "inf"])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["design", "--degree", "2"],
+        ["study", "cond", "--degrees", "2", "--trials", "1"],
+    ],
+)
+def test_nonfinite_oversampling_is_a_usage_error(capsys, command, factor):
+    argv = command + ["--candidates", "200", "--oversampling", factor, "-o", "-"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: oversampling factor must be finite" in captured.err
+
+
 def test_design_json_is_strict_when_det_overflows(capsys):
     code = main(
         ["design", "--family", "gaussian", "--dimension", "4", "--rule", "HC",

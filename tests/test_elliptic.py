@@ -20,6 +20,7 @@ from scipy.linalg import solve_banded
 
 from cfpdesign import EllipticConfig, diffusivity, solve_bvp, solve_bvp_batch
 from cfpdesign.basis import ROW_BLOCK_VALUES
+from cfpdesign.cli import main
 
 # flux-integral values for d = 1, sigma = 1 (quad, epsabs 1e-14)
 EXACT_MID = {
@@ -195,6 +196,33 @@ def test_config_validation():
         EllipticConfig(dimension=1, sigma=10.0)
     # the full cosine series reaches sum 1/(k pi)^2 = 1/6 < 1
     EllipticConfig(dimension=50, sigma=1.0)
+
+
+@pytest.mark.parametrize("sigma", [math.nan, math.inf, -math.inf])
+def test_nonfinite_sigma_rejected(sigma):
+    with pytest.raises(ValueError, match="sigma must be finite"):
+        EllipticConfig(dimension=2, sigma=sigma)
+
+
+def test_negative_sigma_reach_rejected():
+    # |sigma| * (1 + 1/4) / pi^2 = 1.140 at d = 2: some parameter in
+    # [-1,1]^2 drives kappa below zero, whichever sign sigma has
+    with pytest.raises(ValueError, match=r"kappa <= 0 .*reach 1\.140"):
+        EllipticConfig(dimension=2, sigma=-9.0)
+    with pytest.raises(ValueError, match="kappa <= 0"):
+        EllipticConfig(dimension=2, sigma=9.0)
+    EllipticConfig(dimension=2, sigma=0.0)
+    EllipticConfig(dimension=2, sigma=1.0)
+    EllipticConfig(dimension=2, sigma=-1.0)
+
+
+def test_cli_nan_sigma_is_a_usage_error(capsys):
+    argv = ["study", "elliptic", "--degrees", "1", "--trials", "1",
+            "--candidates", "200", "--elliptic-sigma", "nan", "-o", "-"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: sigma must be finite" in captured.err
 
 
 def test_nonpositive_kappa_rejected_at_solve():

@@ -48,6 +48,12 @@ def test_study_config_validation():
     assert StudyConfig(family="gaussian").density.kind == "gaussian"
 
 
+@pytest.mark.parametrize("factor", [math.nan, math.inf, -math.inf])
+def test_study_config_rejects_nonfinite_oversampling(factor):
+    with pytest.raises(ValueError, match="oversampling factor must be finite"):
+        StudyConfig(oversampling=factor)
+
+
 def test_condition_study_schema():
     cfg = StudyConfig(degrees=(2, 3), trials=3, candidates=200)
     records = study_condition(cfg)
