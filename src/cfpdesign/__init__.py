@@ -10,7 +10,6 @@ drivers (studies) behind the `cfpdesign` command line.
 __version__ = "0.1.0"
 
 from .basis import (
-    DesignMatrix,
     ProductBasis,
     RankDeficientError,
     christoffel,
@@ -18,7 +17,6 @@ from .basis import (
     det_modulus,
     eval_row,
     eval_rows,
-    vandermonde,
 )
 from .design import (
     CandidateSet,
@@ -26,8 +24,6 @@ from .design import (
     afp_select,
     candidate_set,
     cfp_select,
-    global_select_oracle,
-    greedy_select_reference,
 )
 from .elliptic import EllipticConfig, diffusivity, solve_bvp, solve_bvp_batch
 from .lsq import (
@@ -51,7 +47,6 @@ from .orthopoly import (
     eval_phi_sequence,
     gauss_rule,
     level_set,
-    level_set_bisection,
     quadrature_exactness_report,
     r_ratio,
     recurrence_coefficients,
@@ -80,7 +75,6 @@ __all__ = [
     "gauss_rule",
     "r_ratio",
     "level_set",
-    "level_set_bisection",
     "quadrature_exactness_report",
     "sample_density",
     "MultiIndexSet",
@@ -89,12 +83,10 @@ __all__ = [
     "is_downward_closed",
     "enrich",
     "ProductBasis",
-    "DesignMatrix",
     "RankDeficientError",
     "eval_row",
     "eval_rows",
     "christoffel",
-    "vandermonde",
     "det_modulus",
     "condition_number",
     "CandidateSet",
@@ -102,8 +94,6 @@ __all__ = [
     "candidate_set",
     "cfp_select",
     "afp_select",
-    "greedy_select_reference",
-    "global_select_oracle",
     "Surrogate",
     "solve_weighted",
     "solve_unweighted",

@@ -1,10 +1,10 @@
-"""Tensor-product bases, Christoffel weights, and design matrices.
+"""Tensor-product bases, Christoffel weights, and design-matrix diagnostics.
 
 The product basis psi_alpha(y) = prod_j phi_{alpha_j}(y_j) spans the
 polynomial space of a multi-index set. Rows come in two flavors: plain
 evaluations ("P") and rows scaled to unit Euclidean norm by the inverse
 square root of the Christoffel function ("Q"). All determinant and
-conditioning diagnostics run on singular values.
+conditioning diagnostics run on singular values of plain (m, N) arrays.
 """
 
 from __future__ import annotations
@@ -25,12 +25,10 @@ from .orthopoly import (
 
 __all__ = [
     "ProductBasis",
-    "DesignMatrix",
     "RankDeficientError",
     "eval_row",
     "eval_rows",
     "christoffel",
-    "vandermonde",
     "det_modulus",
     "condition_number",
 ]
@@ -186,41 +184,16 @@ def christoffel(basis: ProductBasis, y):
     return k
 
 
-@dataclass(frozen=True)
-class DesignMatrix:
-    """A Vandermonde-type matrix tagged with the space it was built in."""
-
-    values: np.ndarray
-    space: str
-
-    def __post_init__(self):
-        if self.space not in SPACES:
-            raise ValueError(f"space must be one of {SPACES}")
-        if self.values.ndim != 2:
-            raise ValueError("design matrix must be two-dimensional")
-        if self.space == "Q":
-            norms = np.linalg.norm(self.values, axis=1)
-            if np.any(np.abs(norms - 1.0) > 1e-12):
-                worst = float(np.max(np.abs(norms - 1.0)))
-                raise ValueError(
-                    f"Q rows must have unit norm; worst deviation {worst:.2e}"
-                )
-        self.values.setflags(write=False)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.values.shape
+def vandermonde(basis: ProductBasis, points, space: str) -> np.ndarray:
+    # kept only because perfbench/tracer.py wraps it by name; use eval_rows
+    return eval_rows(basis, points, space)
 
 
-def vandermonde(basis: ProductBasis, points, space: str) -> DesignMatrix:
-    """Stack basis rows at the given points into a DesignMatrix."""
-    return DesignMatrix(values=eval_rows(basis, points, space), space=space)
-
-
-def _values(matrix) -> np.ndarray:
-    if isinstance(matrix, DesignMatrix):
-        return matrix.values
-    return np.asarray(matrix, dtype=float)
+def _as_matrix(matrix) -> np.ndarray:
+    vals = np.asarray(matrix, dtype=float)
+    if vals.ndim != 2:
+        raise ValueError(f"matrix must be two-dimensional, got shape {vals.shape}")
+    return vals
 
 
 def det_modulus(matrix) -> float:
@@ -231,7 +204,7 @@ def det_modulus(matrix) -> float:
     point warning; one whose running product would overflow but whose value
     fits is taken as exp of the summed logarithms.
     """
-    vals = _values(matrix)
+    vals = _as_matrix(matrix)
     m, n = vals.shape
     if m > n:
         raise ValueError(f"determinant modulus needs m <= N, got {m} x {n}")
@@ -240,7 +213,7 @@ def det_modulus(matrix) -> float:
 
 def condition_number(matrix) -> float:
     """Ratio of extreme singular values; +inf when numerically singular."""
-    return _cond_from_singular(np.linalg.svd(_values(matrix), compute_uv=False))
+    return _cond_from_singular(np.linalg.svd(_as_matrix(matrix), compute_uv=False))
 
 
 def _det_from_singular(sigma: np.ndarray) -> float:

@@ -11,7 +11,8 @@ the choice well defined.
 
 The literal greedy reference and the brute-force subset oracle evaluate
 their objectives from scratch at every step and exist to check the fast
-path, so they must stay independent of it.
+path, so they must stay independent of it; they share only the row set-up
+and the result build with it, and are not exported.
 """
 
 from __future__ import annotations
@@ -41,8 +42,6 @@ __all__ = [
     "candidate_set",
     "cfp_select",
     "afp_select",
-    "greedy_select_reference",
-    "global_select_oracle",
 ]
 
 TAG_IID = "iid"
@@ -270,32 +269,44 @@ def _greedy_pivot_qr(v: np.ndarray, m_points: int) -> tuple[np.ndarray, np.ndarr
     return pivots, trace
 
 
-def _qr_select(
+def _selection_rows(
     candidates: CandidateSet,
     index_set: MultiIndexSet,
     m_points: int,
     space: str,
-) -> DesignResult:
+) -> tuple[np.ndarray, np.ndarray]:
+    """(indices of the distinct candidates, their basis rows in space) for a
+    selection of m_points; raises ValueError when that many cannot be picked."""
     if index_set.dimension != candidates.dimension:
         raise ValueError("index set and candidates disagree on dimension")
-    unique = _unique_rows(candidates.points)
-    pts = candidates.points[unique]
     if m_points < 1:
         raise ValueError("m_points must be positive")
     if m_points > len(index_set):
         raise ValueError(
             f"cannot select {m_points} points in a basis of size {len(index_set)}"
         )
-    if m_points > len(pts):
+    unique = _unique_rows(candidates.points)
+    if m_points > len(unique):
         raise ValueError(
-            f"only {len(pts)} distinct candidates for {m_points} points"
+            f"only {len(unique)} distinct candidates for {m_points} points"
         )
     basis = ProductBasis.for_density(candidates.densities, index_set)
-    v = eval_rows(basis, pts, space)
-    local, trace = _greedy_pivot_qr(v, m_points)
-    pivots = unique[local]
-    # m_points <= N rows, so both diagnostics come from one SVD
-    sigma = np.linalg.svd(v[local], compute_uv=False)
+    return unique, eval_rows(basis, candidates.points[unique], space)
+
+
+def _design_result(
+    candidates: CandidateSet,
+    index_set: MultiIndexSet,
+    space: str,
+    pivots: np.ndarray,
+    selected: np.ndarray,
+    trace: np.ndarray,
+    **extra,
+) -> DesignResult:
+    """DesignResult for pivots into the candidate list; selected holds their
+    rows, and m_points <= N, so both diagnostics come from one SVD. extra
+    is appended to the config."""
+    sigma = np.linalg.svd(selected, compute_uv=False)
     return DesignResult(
         points=candidates.points[pivots].copy(),
         pivot_order=tuple(int(i) for i in pivots),
@@ -306,12 +317,24 @@ def _qr_select(
         seed=candidates.seed,
         config={
             "basis_size": len(index_set),
-            "m_points": m_points,
+            "m_points": len(pivots),
             "m_candidates": len(candidates),
             "degree_hint": candidates.degree_hint,
             "densities": [rho.kind for rho in candidates.densities],
+            **extra,
         },
     )
+
+
+def _qr_select(
+    candidates: CandidateSet,
+    index_set: MultiIndexSet,
+    m_points: int,
+    space: str,
+) -> DesignResult:
+    unique, v = _selection_rows(candidates, index_set, m_points, space)
+    local, trace = _greedy_pivot_qr(v, m_points)
+    return _design_result(candidates, index_set, space, unique[local], v[local], trace)
 
 
 def cfp_select(
@@ -360,17 +383,10 @@ def greedy_select_reference(
         raise ValueError(
             f"reference selection capped at {REFERENCE_MAX_CANDIDATES} candidates"
         )
-    if index_set.dimension != candidates.dimension:
-        raise ValueError("index set and candidates disagree on dimension")
-    unique = _unique_rows(candidates.points)
-    pts = candidates.points[unique]
-    if m_points < 1 or m_points > min(len(index_set), len(pts)):
-        raise ValueError("m_points outside the feasible range")
-    basis = ProductBasis.for_density(candidates.densities, index_set)
-    v = eval_rows(basis, pts, space)
+    unique, v = _selection_rows(candidates, index_set, m_points, space)
 
     chosen: list[int] = []
-    remaining = list(range(len(pts)))
+    remaining = list(range(len(unique)))
     trace = np.empty(m_points)
     for k in range(m_points):
         if objective == "det":
@@ -383,9 +399,7 @@ def greedy_select_reference(
                     f"every candidate is rank deficient at step {k}"
                 )
             # absolute window in log space is a relative window on the det
-            pick = _tied_lowest(
-                unique[remaining], values, best, TIE_RTOL
-            )
+            pick = _tied_lowest(unique[remaining], values, best, TIE_RTOL)
         else:
             values = np.array(
                 [-condition_number(v[chosen + [i]]) for i in remaining]
@@ -397,23 +411,9 @@ def greedy_select_reference(
         rows = v[chosen]
         trace[k] = det_modulus(rows) if objective == "det" else condition_number(rows)
 
-    pivots = unique[chosen]
-    selected = v[chosen]
-    return DesignResult(
-        points=candidates.points[pivots].copy(),
-        pivot_order=tuple(int(i) for i in pivots),
-        objective_trace=trace,
-        det_modulus=det_modulus(selected),
-        condition_number=condition_number(selected),
-        space=space,
-        seed=candidates.seed,
-        config={
-            "basis_size": len(index_set),
-            "m_points": m_points,
-            "m_candidates": len(candidates),
-            "objective": objective,
-            "reference": True,
-        },
+    return _design_result(
+        candidates, index_set, space, unique[chosen], v[chosen], trace,
+        objective=objective, reference=True,
     )
 
 
@@ -431,21 +431,14 @@ def global_select_oracle(
     """
     if objective not in ("det", "cond"):
         raise ValueError("objective must be 'det' or 'cond'")
-    if index_set.dimension != candidates.dimension:
-        raise ValueError("index set and candidates disagree on dimension")
-    unique = _unique_rows(candidates.points)
-    pts = candidates.points[unique]
-    if m_points < 1 or m_points > min(len(index_set), len(pts)):
-        raise ValueError("m_points outside the feasible range")
-    n_subsets = math.comb(len(pts), m_points)
+    unique, v = _selection_rows(candidates, index_set, m_points, space)
+    n_subsets = math.comb(len(unique), m_points)
     if n_subsets > ORACLE_MAX_SUBSETS:
         raise ValueError(f"{n_subsets} subsets exceed the oracle guard")
-    basis = ProductBasis.for_density(candidates.densities, index_set)
-    v = eval_rows(basis, pts, space)
 
     best_combo = None
     best_value = -math.inf
-    for combo in itertools.combinations(range(len(pts)), m_points):
+    for combo in itertools.combinations(range(len(unique)), m_points):
         rows = v[list(combo)]
         if objective == "det":
             value = _log_det_modulus(rows)
@@ -459,26 +452,12 @@ def global_select_oracle(
         raise RankDeficientError("no subset of full rank exists")
 
     chosen = list(best_combo)
-    selected = v[chosen]
     trace = np.array(
         [det_modulus(v[chosen[: k + 1]]) for k in range(m_points)]
         if objective == "det"
         else [condition_number(v[chosen[: k + 1]]) for k in range(m_points)]
     )
-    pivots = unique[chosen]
-    return DesignResult(
-        points=candidates.points[pivots].copy(),
-        pivot_order=tuple(int(i) for i in pivots),
-        objective_trace=trace,
-        det_modulus=det_modulus(selected),
-        condition_number=condition_number(selected),
-        space=space,
-        seed=candidates.seed,
-        config={
-            "basis_size": len(index_set),
-            "m_points": m_points,
-            "m_candidates": len(candidates),
-            "objective": objective,
-            "oracle": True,
-        },
+    return _design_result(
+        candidates, index_set, space, unique[chosen], v[chosen], trace,
+        objective=objective, oracle=True,
     )

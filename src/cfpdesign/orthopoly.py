@@ -31,7 +31,6 @@ __all__ = [
     "gauss_rule",
     "r_ratio",
     "level_set",
-    "level_set_bisection",
     "quadrature_exactness_report",
     "sample_density",
 ]
@@ -199,9 +198,10 @@ def level_set(table: RecurrenceTable, n: int, y: float) -> np.ndarray:
     The set is computed as the eigenvalues of the order-n Jacobi matrix with
     its last diagonal entry shifted by r_n(y) * sqrt(b_n): appending the
     shifted row turns phi_n - r_n(y) phi_{n-1} into the order-n characteristic
-    polynomial. y itself is always a member. Falls back to sign-change
-    bisection if the eigensolve fails.
+    polynomial. y itself is always a member; a non-finite y raises.
     """
+    if not math.isfinite(y):
+        raise ValueError(f"level set start y must be finite, got {y}")
     from scipy.linalg import eigh_tridiagonal  # deferred: ~0.3 s of import
 
     c = r_ratio(table, n, y)
@@ -211,11 +211,7 @@ def level_set(table: RecurrenceTable, n: int, y: float) -> np.ndarray:
         )
     diag, off = _jacobi_bands(table, n)
     diag[-1] += c * math.sqrt(table.offdiag(n))
-    try:
-        nodes = eigh_tridiagonal(diag, off, eigvals_only=True)
-    except np.linalg.LinAlgError:
-        nodes = level_set_bisection(table, n, y)
-    return nodes
+    return eigh_tridiagonal(diag, off, eigvals_only=True)
 
 
 def _poly_roots_bisect(table: RecurrenceTable, n: int) -> np.ndarray:
@@ -263,8 +259,8 @@ def level_set_bisection(table: RecurrenceTable, n: int, y: float) -> np.ndarray:
 
     r_n increases from -inf to +inf strictly between consecutive poles, so
     g = phi_n - r_n(y) phi_{n-1} changes sign exactly once in each of the n
-    pole-bounded intervals. Slow but independent of the spectral route; used
-    as its fallback and as the test oracle.
+    pole-bounded intervals. Slow but independent of the spectral route; a
+    test oracle only, not exported.
     """
     c = r_ratio(table, n, y)
     if math.isinf(c):

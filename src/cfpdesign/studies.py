@@ -18,10 +18,11 @@ import numpy as np
 from . import __version__
 from .basis import (
     ProductBasis,
-    christoffel,
+    _cond_from_singular,
+    _det_from_singular,
+    _rows_and_sums,
     condition_number,
-    det_modulus,
-    vandermonde,
+    eval_rows,
 )
 from .design import (
     CandidateSet,
@@ -100,6 +101,8 @@ class StudyConfig:
             raise ValueError("oversampling factor must be at least 1")
         if self.trials < 1:
             raise ValueError("trials must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         if self.candidates < 2 or self.candidates % 2 != 0:
             raise ValueError("candidates must be even and at least 2")
         if self.validation_samples < 1:
@@ -205,7 +208,7 @@ def study_condition(config: StudyConfig) -> list[dict]:
 
     def kappa(method, basis, points, degree, trial):
         space = "Q" if method == "CFP" else "P"
-        return condition_number(vandermonde(basis, points, space))
+        return condition_number(eval_rows(basis, points, space))
 
     return _sweep(config, kappa)
 
@@ -316,10 +319,10 @@ def verify_oned(family: str, n_max: int) -> list[dict]:
         starts.append(("gauss", float(gauss_nodes[-1])))
         for label, y in starts:
             nodes = level_set(table, n, y)
-            matrix = vandermonde(basis, nodes[:, None], "Q")
-            kappa = condition_number(matrix)
-            detmod = det_modulus(matrix)
-            kvals = np.atleast_1d(christoffel(basis, nodes[:, None]))
+            rows, kvals = _rows_and_sums(basis, nodes[:, None], "Q")
+            sigma = np.linalg.svd(rows, compute_uv=False)
+            kappa = _cond_from_singular(sigma)
+            detmod = _det_from_singular(sigma)
             weights = 1.0 / kvals
             report = quadrature_exactness_report(
                 table, nodes, kvals, max(2 * n - 2, 0)

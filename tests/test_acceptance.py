@@ -28,7 +28,6 @@ from cfpdesign import (
     det_modulus,
     enrich,
     eval_rows,
-    greedy_select_reference,
     level_set,
     quadrature_exactness_report,
     r_ratio,
@@ -40,10 +39,10 @@ from cfpdesign import (
     study_condition,
     total_degree,
     validation_error,
-    vandermonde,
     verify_oned,
 )
 from cfpdesign.cli import main as cli_main
+from cfpdesign.design import greedy_select_reference
 
 UNIFORM = DensitySpec.uniform()
 GAUSSIAN = DensitySpec.gaussian()
@@ -159,7 +158,7 @@ def test_04_det_and_condition_equivalence():
     random_ok = True
     for _ in range(100):
         pts = rng.uniform(-1.0, 1.0, (len(lam), 2))
-        matrix = vandermonde(basis, pts, "Q")
+        matrix = eval_rows(basis, pts, "Q")
         det_dev = abs(det_modulus(matrix) - 1.0)
         kap_dev = abs(condition_number(matrix) - 1.0)
         if (det_dev <= 1e-3 or kap_dev <= 1e-3) and not (
@@ -175,7 +174,7 @@ def test_04_det_and_condition_equivalence():
             basis1 = ProductBasis.for_density(family, lam1)
             for y in (0.05 + 0.11 * count, -0.4 - 0.07 * count):
                 nodes = level_set(table, n, y)
-                matrix = vandermonde(basis1, nodes[:, None], "Q")
+                matrix = eval_rows(basis1, nodes[:, None], "Q")
                 level_worst = max(
                     level_worst,
                     abs(det_modulus(matrix) - 1.0),
@@ -203,7 +202,7 @@ def test_05_hadamard_bound():
         pts = np.column_stack(
             [sample_density(density, rng, len(lam)) for _ in range(d)]
         )
-        worst = max(worst, det_modulus(vandermonde(basis, pts, "Q")))
+        worst = max(worst, det_modulus(eval_rows(basis, pts, "Q")))
     ok = worst <= 1.0 + 1e-12
     _report(5, "Hadamard bound on 1000 square designs", ok, f"max det {worst:.6f}")
 

@@ -287,6 +287,15 @@ def test_design_fit_that_cannot_run_writes_nothing(capsys, argv, message):
     assert message in captured.err
 
 
+@pytest.mark.parametrize("study", ["cond", "approx", "elliptic"])
+def test_negative_seed_is_a_usage_error(capsys, study):
+    argv = ["study", study, "--degrees", "1", "--trials", "1", "--candidates", "200"]
+    assert _exit_code(argv + ["--seed", "-1", "-o", "-"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: seed must be nonnegative" in captured.err
+
+
 def test_study_with_bad_degree_budget(capsys):
     assert main(
         ["study", "cond", "--degrees", "9", "--candidates", "10", "-o", "-"]

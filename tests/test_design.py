@@ -30,14 +30,15 @@ from cfpdesign import (
     cfp_select,
     condition_number,
     eval_rows,
-    global_select_oracle,
-    greedy_select_reference,
     level_set,
     recurrence_coefficients,
     total_degree,
-    vandermonde,
 )
-from cfpdesign.design import _unique_rows
+from cfpdesign.design import (
+    _unique_rows,
+    global_select_oracle,
+    greedy_select_reference,
+)
 
 UNIFORM = DensitySpec.uniform()
 GAUSSIAN = DensitySpec.gaussian()
@@ -469,5 +470,5 @@ def test_gaussian_example_against_subset_oracle():
     # greedy is not guaranteed optimal, but it cannot beat the oracle
     assert greedy.det_modulus <= exhaustive.det_modulus + 1e-12
     basis = ProductBasis.for_density(GAUSSIAN, lam)
-    recomputed = condition_number(vandermonde(basis, exhaustive.points, "Q"))
+    recomputed = condition_number(eval_rows(basis, exhaustive.points, "Q"))
     assert exhaustive.condition_number == pytest.approx(recomputed, rel=1e-12)

@@ -8,6 +8,7 @@ hand-computed examples, and the eigensolve-free bisection route.
 """
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -20,12 +21,12 @@ from cfpdesign import (
     eval_phi_sequence,
     gauss_rule,
     level_set,
-    level_set_bisection,
     quadrature_exactness_report,
     r_ratio,
     recurrence_coefficients,
     sample_density,
 )
+from cfpdesign.orthopoly import level_set_bisection
 
 UNIFORM = DensitySpec.uniform()
 GAUSSIAN = DensitySpec.gaussian()
@@ -253,6 +254,15 @@ def test_level_set_single_point_and_pole():
     np.testing.assert_allclose(level_set(table, 1, 0.37), [0.37], atol=1e-14)
     with pytest.raises(ValueError):
         level_set(table, 2, 0.0)  # pole of r_2
+
+
+@pytest.mark.parametrize("y", [math.nan, math.inf, -math.inf])
+def test_level_set_rejects_nonfinite_start(y):
+    table = recurrence_coefficients(UNIFORM, 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="start y must be finite"):
+            level_set(table, 3, y)
 
 
 @pytest.mark.parametrize("density", FAMILIES, ids=lambda d: d.kind)
