@@ -116,31 +116,38 @@ def _row_blocks(m: int, width: int):
 def _rows_and_sums(basis: ProductBasis, points, space: str | None):
     """(rows, Christoffel sums) in row blocks; space "P", "Q" or None.
 
-    Each block of psi_alpha(y_i) is gathered and multiplied in coordinate
-    order straight into its rows of the one C-ordered (m, N) output:
+    Each coordinate's recurrence values stay in the layout eval_phi_sequence
+    returns, (deg+1, m). A row block gathers whole sequence rows,
+    seqs[j][idx[:, j], blk], and multiplies them in coordinate order into an
+    (N, b) product, built in the block's own memory of the one C-ordered
+    (m, N) output; its transpose is copied back over it as the block's rows.
     Christoffel row sums and the pivot matvec add in memory order, so layout
-    sets bits. "P" returns no sums; None keeps no rows, only the unchecked
-    sums. "Q" checks each block's sums and scales its rows to unit norm; a
-    sum that overflowed or vanished raises ValueError naming the point.
+    sets bits. "P" returns no sums. None keeps no rows, only the unchecked
+    sums, from a product of its own per block. "Q" checks each block's sums
+    and scales its rows to unit norm; a sum that overflowed or vanished
+    raises ValueError naming the point.
     """
     pts = _as_points(basis, points)
     idx = np.asarray(basis.index_set.indices, dtype=int)
     m, n = len(pts), len(idx)
-    # (m, deg+1) per coordinate, so gathering along axis 1 gives C-ordered rows
     seqs = [
-        np.ascontiguousarray(eval_phi_sequence(t, int(idx[:, j].max()), pts[:, j]).T)
+        eval_phi_sequence(t, int(idx[:, j].max()), pts[:, j])
         for j, t in enumerate(basis.tables)
     ]
     rows = None if space is None else np.empty((m, n))
     sums = None if space == "P" else np.empty(m)
     for blk in _row_blocks(m, n):
-        out = None if rows is None else rows[blk]
-        # the indices are in range, so "clip" only skips take's buffered copy
-        psi = np.take(seqs[0][blk], idx[:, 0], axis=1, out=out, mode="clip")
+        b = blk.stop - blk.start
+        prod = np.empty((n, b)) if rows is None else rows[blk].reshape(n, b)
+        prod[...] = seqs[0][idx[:, 0], blk]
         for j in range(1, len(seqs)):
-            psi *= np.take(seqs[j][blk], idx[:, j], axis=1)
+            prod *= seqs[j][idx[:, j], blk]
+        psi = prod.T.copy()
+        if rows is not None:
+            rows[blk] = psi
         if sums is not None:
-            k = sums[blk] = np.sum(psi * psi, axis=1)
+            k = sums[blk] = np.sum(np.multiply(psi, psi, out=psi), axis=1)
+        del psi  # so the Q scaling and the next gathers add no second block
         if space == "Q":
             bad = np.flatnonzero(~(np.isfinite(k) & (k > 0.0)))
             if bad.size:
@@ -150,7 +157,7 @@ def _rows_and_sums(basis: ProductBasis, points, space: str | None):
                     f"{pts[i].tolist()} is not positive and finite "
                     f"(basis degree {basis.index_set.max_degree})"
                 )
-            psi /= np.sqrt(k)[:, None]
+            rows[blk] /= np.sqrt(k)[:, None]
     return rows, sums
 
 

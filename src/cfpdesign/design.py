@@ -211,13 +211,25 @@ def candidate_set(
 
 
 def _unique_rows(points: np.ndarray) -> np.ndarray:
-    """Indices of first occurrences, in original order. The stable sort puts
-    each first occurrence at the head of its run of equal rows."""
-    order = np.lexsort(points.T[::-1])
-    ranked = points[order]
-    leads = np.ones(len(order), dtype=bool)
+    """Indices of first occurrences, in original order; -0.0 equals 0.0.
+
+    One argsort of the first coordinate settles every row whose value there
+    is unmatched. Only rows that tie with another there are lexsorted on all
+    coordinates, in index order, so the stable sort puts each first
+    occurrence at the head of its run of equal rows.
+    """
+    order = np.argsort(points[:, 0])
+    first = points[order, 0]
+    same = first[1:] == first[:-1]
+    tied = np.zeros(len(order), dtype=bool)
+    tied[1:] = same
+    tied[:-1] |= same
+    group = np.sort(order[tied])
+    ranked_order = np.lexsort(points[group].T[::-1])
+    ranked = points[group[ranked_order]]
+    leads = np.ones(len(group), dtype=bool)
     leads[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
-    return np.sort(order[leads])
+    return np.sort(np.concatenate([order[~tied], group[ranked_order[leads]]]))
 
 
 def _tied_lowest(order: np.ndarray, values: np.ndarray, best: float, window: float) -> int:
@@ -238,6 +250,7 @@ def _greedy_pivot_qr(v: np.ndarray, m_points: int) -> tuple[np.ndarray, np.ndarr
     q = np.empty((m_points, v.shape[1]))
     pivots = np.empty(m_points, dtype=int)
     trace = np.empty(m_points)
+    c = np.empty(len(v))
     running_det = 1.0
     for k in range(m_points):
         best = float(np.max(sq))
@@ -257,8 +270,9 @@ def _greedy_pivot_qr(v: np.ndarray, m_points: int) -> tuple[np.ndarray, np.ndarr
         w = v[j] - (q[:k] @ v[j]) @ q[:k]
         w -= (q[:k] @ w) @ q[:k]
         q[k] = w / np.linalg.norm(w)
-        c = v @ q[k]
-        sq -= c * c
+        np.matmul(v, q[k], out=c)
+        np.multiply(c, c, out=c)
+        sq -= c
         sq[j] = floor[j] = -math.inf  # never picked nor recomputed again
         low = np.flatnonzero(sq < floor)
         for start in range(0, low.size, 512):

@@ -84,13 +84,14 @@ class MultiIndexSet:
         )
 
 
-def _td_recurse(d: int, k: int, out: list, prefix: tuple[int, ...]):
+def _grade(d: int, g: int):
+    """The multi-indices of total degree g, in grevlex order."""
     if d == 1:
-        for i in range(k + 1):
-            out.append(prefix + (i,))
+        yield (g,)
         return
-    for i in range(k + 1):
-        _td_recurse(d - 1, k - i, out, prefix + (i,))
+    for last in range(g + 1):
+        for head in _grade(d - 1, g - last):
+            yield head + (last,)
 
 
 def total_degree(dimension: int, degree: int) -> MultiIndexSet:
@@ -100,10 +101,10 @@ def total_degree(dimension: int, degree: int) -> MultiIndexSet:
     size = math.comb(degree + dimension, dimension)
     if size > MAX_SET_SIZE:
         raise ValueError(f"total-degree set would have {size} indices")
-    out: list[tuple[int, ...]] = []
-    _td_recurse(dimension, degree, out, ())
-    out.sort(key=grevlex_key)
-    return MultiIndexSet(dimension, tuple(out))
+    return MultiIndexSet(
+        dimension,
+        tuple(a for g in range(degree + 1) for a in _grade(dimension, g)),
+    )
 
 
 def _hc_recurse(d: int, budget: int, out: list, prefix: tuple[int, ...]):
@@ -141,29 +142,26 @@ def is_downward_closed(index_set: MultiIndexSet) -> bool:
 
 
 def enrich(index_set: MultiIndexSet, extra: int | None = None) -> MultiIndexSet:
-    """Append `extra` indices drawn from the surrounding total-degree sets.
+    """Append the first `extra` multi-indices in grevlex order that are not
+    in the set.
 
-    Candidates are the grevlex-ordered members of the smallest total-degree
-    superset not already in the set; the degree is raised as needed until
-    enough are available. extra defaults to max(1, floor(0.05 * N)).
+    Grades are enumerated one at a time, lowest first, until enough are
+    found. Each total-degree set is a grevlex prefix of the next, so these
+    are the grevlex-ordered members of the smallest total-degree superset
+    that has `extra` indices outside the set. extra defaults to
+    max(1, floor(0.05 * N)).
     """
     if not is_downward_closed(index_set):
         raise ValueError("enrichment requires a downward-closed index set")
-    n_points = len(index_set)
     if extra is None:
-        extra = max(1, int(0.05 * n_points))
+        extra = max(1, int(0.05 * len(index_set)))
     if extra < 1:
         raise ValueError("extra must be positive")
-    level = index_set.max_degree
-    box = total_degree(index_set.dimension, level)
-    if len(box) == n_points:  # the set is exactly that total-degree set
-        level += 1
-        box = total_degree(index_set.dimension, level)
-    surplus = [a for a in box if a not in index_set]
-    while len(surplus) < extra:
-        level += 1
-        box = total_degree(index_set.dimension, level)
-        surplus = [a for a in box if a not in index_set]
+    found: list[tuple[int, ...]] = []
+    grade = 0
+    while len(found) < extra:
+        found += [a for a in _grade(index_set.dimension, grade) if a not in index_set]
+        grade += 1
     return MultiIndexSet(
-        index_set.dimension, index_set.indices + tuple(surplus[:extra])
+        index_set.dimension, index_set.indices + tuple(found[:extra])
     )

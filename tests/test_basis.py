@@ -111,16 +111,20 @@ def test_eval_rows_are_c_ordered_and_bit_equal_at_study_size(density, index_set)
 
 
 def test_eval_rows_bit_equal_across_block_boundaries():
-    index_set = total_degree(2, 15)
-    basis = ProductBasis.for_density(UNIFORM, index_set)
-    rows_per_block = ROW_BLOCK_VALUES // len(index_set)
-    pts = candidate_set(UNIFORM, 2, 2 * rows_per_block, 15, seed=6).points
-    for m in (1, rows_per_block - 1, rows_per_block + 1):
-        for space in ("P", "Q"):
-            expected = _rows_in_coordinate_order(basis, pts[:m], space)
-            assert eval_rows(basis, pts[:m], space).tobytes() == expected.tobytes()
-        psi = _rows_in_coordinate_order(basis, pts[:m], "P")
-        assert christoffel(basis, pts[:m]).tobytes() == np.sum(psi * psi, axis=1).tobytes()
+    for density, index_set in (
+        (UNIFORM, total_degree(2, 15)),
+        (GAUSSIAN, hyperbolic_cross(4, 8)),
+    ):
+        basis = ProductBasis.for_density(density, index_set)
+        rows_per_block = ROW_BLOCK_VALUES // len(index_set)
+        degree = index_set.max_degree
+        pts = candidate_set(density, index_set.dimension, 10_000, degree, seed=6).points
+        for m in (1, rows_per_block - 1, rows_per_block + 1, 10_000):
+            for space in ("P", "Q"):
+                expected = _rows_in_coordinate_order(basis, pts[:m], space)
+                assert eval_rows(basis, pts[:m], space).tobytes() == expected.tobytes()
+            psi = _rows_in_coordinate_order(basis, pts[:m], "P")
+            assert christoffel(basis, pts[:m]).tobytes() == np.sum(psi * psi, axis=1).tobytes()
 
 
 def test_christoffel_failure_names_its_point_past_the_first_block():
@@ -134,18 +138,36 @@ def test_christoffel_failure_names_its_point_past_the_first_block():
         eval_rows(hermite, pts, "Q")
 
 
-@pytest.mark.parametrize("space", ["P", "Q"])
-def test_eval_rows_allocates_no_second_output_sized_array(space):
-    basis = ProductBasis.for_density(UNIFORM, total_degree(2, 15))
-    pts = candidate_set(UNIFORM, 2, 10_000, 15, seed=5).points
+def _traced_peak(call):
     tracemalloc.start()
     try:
-        rows = eval_rows(basis, pts, space)
-        peak = tracemalloc.get_traced_memory()[1]
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the output, the per-coordinate sequences and one block of temporaries
-    assert peak <= 1.5 * rows.nbytes
+
+
+@pytest.mark.parametrize("space", ["P", "Q"])
+def test_eval_rows_allocates_no_second_output_sized_array(space):
+    for density, index_set, bound in (
+        # the output, the per-coordinate sequences and one block of temporaries
+        (UNIFORM, total_degree(2, 15), 1.5),
+        # the four (9, m) Hermite sequences alone are 0.49 of the output, and
+        # Q rows also keep their sums: one block of temporaries peaks at 1.554
+        (GAUSSIAN, hyperbolic_cross(4, 8), 1.555),
+    ):
+        basis = ProductBasis.for_density(density, index_set)
+        degree = index_set.max_degree
+        pts = candidate_set(density, index_set.dimension, 10_000, degree, seed=5).points
+        rows, peak = _traced_peak(lambda: eval_rows(basis, pts, space))
+        assert peak <= bound * rows.nbytes
+
+
+def test_christoffel_keeps_no_row_array():
+    basis = ProductBasis.for_density(UNIFORM, total_degree(2, 15))
+    pts = candidate_set(UNIFORM, 2, 10_000, 15, seed=5).points
+    _, peak = _traced_peak(lambda: christoffel(basis, pts))
+    assert peak < 0.5 * len(pts) * len(basis.index_set) * 8
 
 
 def test_christoffel_hand_values():

@@ -394,6 +394,21 @@ _DEDUP_CASES = {
     "d1": [[0.3], [-0.1], [0.3], [-0.0], [0.0], [-0.1], [0.9]],
     "d4": np.vstack([np.eye(4), np.eye(4)[::-1], -np.eye(4)]),
     "draw-10k-plus-50-copies": np.vstack([_DRAW, _DRAW[:50]]),
+    # rows that tie in column 0 but are apart after a sort on it alone
+    "interleaved-tie-group": [[0.5, 1], [0.5, 2], [0.5, 1], [0.5, 3], [0.5, 2]],
+    # duplicates among rows that agree in column 0, and rows that agree
+    # everywhere else but not in column 0
+    "d4-ties-in-column-0": [
+        [0.5, 0.1, 0.2, 0.3],
+        [0.5, 0.1, 0.2, 0.4],
+        [-0.2, 0.1, 0.2, 0.3],
+        [0.5, 0.1, 0.2, 0.3],
+        [0.5, 0.1, 0.9, 0.3],
+        [0.5, 0.1, 0.2, 0.4],
+        [-0.0, 0.1, 0.2, 0.3],
+    ],
+    # thousands of column-0 ties, many of them duplicated rows
+    "draw-10k-rounded": np.round(_DRAW, 2),
 }
 
 

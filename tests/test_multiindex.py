@@ -158,9 +158,53 @@ def test_enrich_raises_degree_until_enough():
     ]
 
 
+def _enrich_box_and_filter(index_set, extra):
+    """The box-and-filter enrichment rule: take the grevlex-ordered members
+    of the smallest total-degree box around the set that are not in it,
+    growing the box until there are `extra` of them."""
+    d, n_points = index_set.dimension, len(index_set)
+
+    def box(level):
+        return _box_filter_oracle(d, level, lambda alpha: sum(alpha) <= level)
+
+    level = index_set.max_degree
+    candidates = box(level)
+    if len(candidates) == n_points:  # the set is exactly that box
+        level += 1
+        candidates = box(level)
+    surplus = [a for a in candidates if a not in index_set]
+    while len(surplus) < extra:
+        level += 1
+        surplus = [a for a in box(level) if a not in index_set]
+    return index_set.indices + tuple(surplus[:extra])
+
+
+@pytest.mark.parametrize("rule", [total_degree, hyperbolic_cross])
+@pytest.mark.parametrize("dimension", [1, 2, 3, 4])
+def test_enrich_matches_box_and_filter_rule(rule, dimension):
+    for degree in range(9):
+        lam = rule(dimension, degree)
+        top = lam.max_degree + 3
+        grades = [
+            sum(a)
+            for a in _box_filter_oracle(dimension, top, lambda a: sum(a) <= top)
+            if a not in lam
+        ]
+        # counts that end the first and second grades with missing indices;
+        # the largest extra reaches into a third grade
+        ends = [i for i in range(1, len(grades)) if grades[i] != grades[i - 1]][:2]
+        largest = ends[1] + 1
+        extras = {1, largest} | {e + s for e in ends for s in (-1, 0, 1)}
+        for extra in sorted(e for e in extras if 1 <= e <= largest):
+            assert enrich(lam, extra).indices == _enrich_box_and_filter(lam, extra)
+
+
 def test_enrich_requires_downward_closed():
     with pytest.raises(ValueError):
         enrich(MultiIndexSet(2, ((0, 0), (1, 1))), 1)
+    gap = MultiIndexSet(3, tuple(a for a in total_degree(3, 2) if a != (1, 0, 0)))
+    with pytest.raises(ValueError, match="downward-closed"):
+        enrich(gap, 1)
     with pytest.raises(ValueError):
         enrich(total_degree(2, 2), 0)
 
