@@ -1,13 +1,17 @@
 """Candidate ensembles and deterministic point selection.
 
 Selection is greedy determinant maximization, computed as lazy pivoted
-Cholesky of the Gram matrix V V^T on a read-only V: each step picks the
-candidate whose residual against the span of the selected rows is largest,
-which multiplies the running determinant modulus by that residual norm, and
-one matvec with V downdates every squared residual. Ties within a relative
-window of 1e-12 go to the lowest candidate index; in the unit-norm row space
-the first step is an exact mathematical tie, so the window is what keeps
-the choice well defined.
+Cholesky of the Gram matrix V V^T: each step picks the candidate whose
+residual against the span of the selected rows is largest, which multiplies
+the running determinant modulus by that residual norm, and one matvec with
+the working rows downdates every squared residual. Every residual lies in
+the complement of the chosen directions, so once those fill half the
+working width, the rows are rotated in place onto an orthonormal basis of
+that complement and the width each later step streams shrinks with it; the
+loop consumes V, and the selected rows are evaluated again for the result.
+Ties within a relative window of 1e-12 go to the lowest candidate index; in
+the unit-norm row space the first step is an exact mathematical tie, so the
+window is what keeps the choice well defined.
 
 The literal greedy reference and the brute-force subset oracle evaluate
 their objectives from scratch at every step and exist to check the fast
@@ -29,6 +33,7 @@ from .basis import (
     RankDeficientError,
     _cond_from_singular,
     _det_from_singular,
+    _row_blocks,
     condition_number,
     det_modulus,
     eval_rows,
@@ -53,6 +58,12 @@ TIE_RTOL = 1e-12
 # a downdated squared residual below this share of its last exact value has
 # lost half its digits to cancellation (the xGEQP3 test, on squares)
 RECOMPUTE_RATIO = math.sqrt(np.finfo(float).eps)
+# the pivot loop rotates its working rows onto a narrower frame only while
+# they hold more than this many float64 values, 2 MB, the per-core L2 size:
+# rows that fit there already stream about twice as fast as from L3 (a
+# single-thread matvec reads 38-41 GB/s from L2 and 17-20 GB/s from L3 on a
+# 2-core Xeon), so a rotation's fixed cost is not repaid below it
+ROTATE_MIN_VALUES = 2**18
 
 REFERENCE_MAX_CANDIDATES = 1000
 ORACLE_MAX_SUBSETS = 10**6
@@ -239,47 +250,74 @@ def _tied_lowest(order: np.ndarray, values: np.ndarray, best: float, window: flo
     return int(positions[np.argmin(order[positions])])
 
 
+def _rotate_rows(v: np.ndarray, frame: np.ndarray) -> np.ndarray:
+    """v @ frame written over v's own buffer, one row block at a time, as
+    a C-ordered (m, w') view of that buffer. frame has w' < w columns, so
+    block i's output ends before block i+1's input starts."""
+    out = v.reshape(-1)[: len(v) * frame.shape[1]].reshape(len(v), -1)
+    for blk in _row_blocks(*v.shape):
+        out[blk] = v[blk] @ frame
+    return out
+
+
 def _greedy_pivot_qr(v: np.ndarray, m_points: int) -> tuple[np.ndarray, np.ndarray]:
     """(pivots into v's rows, determinant-modulus trace) of m_points greedy
-    steps; v is only read. Residuals that fail the cancellation test are
-    recomputed 512 rows at a time, so no temporary the size of v appears.
+    steps. v is consumed: once the directions chosen since the last rotation
+    fill half of its width, and while it holds more than ROTATE_MIN_VALUES
+    values, its rows are rotated in place onto the complement of those
+    directions, so the working set streamed per step shrinks. Residuals that
+    fail the cancellation test are recomputed 512 rows at a time, so no
+    temporary the size of v appears.
     """
     sq = np.einsum("ij,ij->i", v, v)
     floor = RECOMPUTE_RATIO * sq
     rank_floor = (1e-12 * math.sqrt(float(np.max(sq)))) ** 2
-    q = np.empty((m_points, v.shape[1]))
+    q = np.empty((m_points, v.shape[1]))  # directions since the last rotation
+    r = 0
     pivots = np.empty(m_points, dtype=int)
     trace = np.empty(m_points)
     c = np.empty(len(v))
+    low = np.empty(len(v), dtype=bool)
     running_det = 1.0
     for k in range(m_points):
-        best = float(np.max(sq))
+        j = int(sq.argmax())
+        best = float(sq[j])
         if best <= rank_floor:
             raise RankDeficientError(
                 f"candidate rows reached rank {k} before {m_points} pivots"
             )
         # squared-norm window: a relative tie of TIE_RTOL on the residual
         # norm is 2 * TIE_RTOL on its square; argmax takes the lowest index
-        j = int(np.argmax(sq >= best - 2.0 * TIE_RTOL * best))
+        j = int(np.argmax(sq[: j + 1] >= best - 2.0 * TIE_RTOL * best))
         running_det *= math.sqrt(float(sq[j]))
         trace[k] = running_det
         pivots[k] = j
         if k == m_points - 1:
             break  # the residuals after the last pick are never read
-        # classical Gram-Schmidt, two passes
-        w = v[j] - (q[:k] @ v[j]) @ q[:k]
-        w -= (q[:k] @ w) @ q[:k]
-        q[k] = w / np.linalg.norm(w)
-        np.matmul(v, q[k], out=c)
+        # classical Gram-Schmidt, two passes, against the directions chosen
+        # since the last rotation: v's rows are already orthogonal to the rest
+        w = v[j] - (q[:r] @ v[j]) @ q[:r]
+        w -= (q[:r] @ w) @ q[:r]
+        q[r] = w / math.sqrt(w @ w)
+        np.matmul(v, q[r], out=c)
         np.multiply(c, c, out=c)
         sq -= c
         sq[j] = floor[j] = -math.inf  # never picked nor recomputed again
-        low = np.flatnonzero(sq < floor)
-        for start in range(0, low.size, 512):
-            rows = low[start : start + 512]
-            res = v[rows] - (v[rows] @ q[: k + 1].T) @ q[: k + 1]
-            sq[rows] = np.einsum("ij,ij->i", res, res)
-        floor[low] = RECOMPUTE_RATIO * sq[low]
+        r += 1
+        if np.less(sq, floor, out=low).any():
+            rows = np.flatnonzero(low)
+            for start in range(0, rows.size, 512):
+                blk = rows[start : start + 512]
+                res = v[blk] - (v[blk] @ q[:r].T) @ q[:r]
+                sq[blk] = np.einsum("ij,ij->i", res, res)
+            floor[rows] = RECOMPUTE_RATIO * sq[rows]
+        # a rotation costs 3-6 full-width matvecs (10k rows, widths 30-143),
+        # and each later step saves less than one, so it is never made with
+        # fewer than 4 picks left
+        if 2 * r >= v.shape[1] and m_points - k > 4 and v.size > ROTATE_MIN_VALUES:
+            frame = np.linalg.qr(q[:r].T, mode="complete")[0][:, r:]
+            v = _rotate_rows(v, np.ascontiguousarray(frame))
+            q, r = np.empty((m_points - k - 1, v.shape[1])), 0
     return pivots, trace
 
 
@@ -288,9 +326,10 @@ def _selection_rows(
     index_set: MultiIndexSet,
     m_points: int,
     space: str,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(indices of the distinct candidates, their basis rows in space) for a
-    selection of m_points; raises ValueError when that many cannot be picked."""
+) -> tuple[np.ndarray, ProductBasis, np.ndarray]:
+    """(indices of the distinct candidates, the basis, their rows in space)
+    for a selection of m_points; raises ValueError when that many cannot be
+    picked."""
     if index_set.dimension != candidates.dimension:
         raise ValueError("index set and candidates disagree on dimension")
     if m_points < 1:
@@ -305,7 +344,7 @@ def _selection_rows(
             f"only {len(unique)} distinct candidates for {m_points} points"
         )
     basis = ProductBasis.for_density(candidates.densities, index_set)
-    return unique, eval_rows(basis, candidates.points[unique], space)
+    return unique, basis, eval_rows(basis, candidates.points[unique], space)
 
 
 def _design_result(
@@ -346,9 +385,13 @@ def _qr_select(
     m_points: int,
     space: str,
 ) -> DesignResult:
-    unique, v = _selection_rows(candidates, index_set, m_points, space)
+    unique, basis, v = _selection_rows(candidates, index_set, m_points, space)
     local, trace = _greedy_pivot_qr(v, m_points)
-    return _design_result(candidates, index_set, space, unique[local], v[local], trace)
+    # the loop consumed v; the selected rows are evaluated afresh, which
+    # gives the same bits as v's rows before the loop
+    picked = unique[local]
+    selected = eval_rows(basis, candidates.points[picked], space)
+    return _design_result(candidates, index_set, space, picked, selected, trace)
 
 
 def cfp_select(
@@ -356,9 +399,10 @@ def cfp_select(
 ) -> DesignResult:
     """Greedy determinant-maximizing selection on unit-norm rows.
 
-    Lazy pivoted Cholesky of the Gram matrix of the read-only
-    Christoffel-scaled design matrix; the pivots are those of a column-
-    pivoted QR of its transpose.
+    Lazy pivoted Cholesky of the Gram matrix of the Christoffel-scaled
+    design matrix, whose working rows shrink onto the complement of the
+    chosen directions as the selection proceeds; the pivots are those of a
+    column-pivoted QR of its transpose.
     """
     return _qr_select(candidates, index_set, m_points, "Q")
 
@@ -397,7 +441,7 @@ def greedy_select_reference(
         raise ValueError(
             f"reference selection capped at {REFERENCE_MAX_CANDIDATES} candidates"
         )
-    unique, v = _selection_rows(candidates, index_set, m_points, space)
+    unique, _, v = _selection_rows(candidates, index_set, m_points, space)
 
     chosen: list[int] = []
     remaining = list(range(len(unique)))
@@ -445,7 +489,7 @@ def global_select_oracle(
     """
     if objective not in ("det", "cond"):
         raise ValueError("objective must be 'det' or 'cond'")
-    unique, v = _selection_rows(candidates, index_set, m_points, space)
+    unique, _, v = _selection_rows(candidates, index_set, m_points, space)
     n_subsets = math.comb(len(unique), m_points)
     if n_subsets > ORACLE_MAX_SUBSETS:
         raise ValueError(f"{n_subsets} subsets exceed the oracle guard")

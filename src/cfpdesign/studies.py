@@ -110,6 +110,12 @@ class StudyConfig:
         bad = [m for m in self.methods if m not in METHODS]
         if bad or len(self.methods) == 0:
             raise ValueError(f"methods must be a nonempty subset of {METHODS}")
+        # a repeated entry would compute the same cells again and write
+        # their rows again
+        for name, values in (("degrees", self.degrees), ("methods", self.methods)):
+            repeated = [x for i, x in enumerate(values) if x in values[:i]]
+            if repeated:
+                raise ValueError(f"{name} has a duplicate: {repeated[0]!r}")
 
     @property
     def density(self) -> DensitySpec:

@@ -127,6 +127,22 @@ def test_eval_rows_bit_equal_across_block_boundaries():
             assert christoffel(basis, pts[:m]).tobytes() == np.sum(psi * psi, axis=1).tobytes()
 
 
+@pytest.mark.parametrize("density", [UNIFORM, GAUSSIAN], ids=["uniform", "gaussian"])
+@pytest.mark.parametrize("dimension, degree", [(1, 30), (2, 12), (4, 5)])
+def test_rows_evaluated_at_a_subset_equal_the_full_rows(density, dimension, degree):
+    # selection evaluates the chosen rows afresh, after its loop consumed the
+    # candidate rows, and reports diagnostics from them
+    basis = ProductBasis.for_density(density, total_degree(dimension, degree))
+    pts = candidate_set(density, dimension, 10_000, degree, seed=7).points
+    rows_per_block = ROW_BLOCK_VALUES // len(basis.index_set)
+    idx = np.random.default_rng(dimension).choice(len(pts), 150, replace=False)
+    idx = np.r_[idx, 0, rows_per_block - 1, rows_per_block, len(pts) - 1]
+    assert len(np.unique(idx // rows_per_block)) > 3
+    for space in ("P", "Q"):
+        full = eval_rows(basis, pts, space)
+        assert eval_rows(basis, pts[idx], space).tobytes() == full[idx].tobytes()
+
+
 def test_christoffel_failure_names_its_point_past_the_first_block():
     hermite = ProductBasis.for_density(GAUSSIAN, total_degree(1, 400))
     pts = np.zeros((10_000, 1))

@@ -296,6 +296,19 @@ def test_negative_seed_is_a_usage_error(capsys, study):
     assert "error: seed must be nonnegative" in captured.err
 
 
+def test_repeated_degrees_or_methods_are_a_usage_error(capsys):
+    """The CLI upper-cases methods, so CFP,cfp names one method twice."""
+    argv = ["study", "cond", "--trials", "1", "--candidates", "200", "-o", "-"]
+    for extra, message in (
+        (["--degrees", "2,2"], "degrees has a duplicate: 2"),
+        (["--degrees", "2", "--methods", "CFP,cfp"], "methods has a duplicate: 'CFP'"),
+    ):
+        assert _exit_code(argv + extra) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: {message}" in captured.err
+
+
 def test_study_with_bad_degree_budget(capsys):
     assert main(
         ["study", "cond", "--degrees", "9", "--candidates", "10", "-o", "-"]

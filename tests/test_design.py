@@ -4,7 +4,10 @@ The lazy pivoted Cholesky selection path is checked four ways: hand-worked
 4-candidate examples with closed-form rows, exact pivot agreement with the
 literal greedy reference on random instances, pivot agreement with an
 in-test explicit-residual greedy at the 10k-candidate sizes the studies
-use, and the brute-force subset oracle on cases small enough to enumerate.
+use (there the loop rotates its rows onto narrower frames; clustered
+candidates and a rank-deficient curve test that frame's cancellation
+recompute and rank floor), and the brute-force subset oracle on cases
+small enough to enumerate.
 Hypothesis properties cover the Hadamard-bounded trace and invariance under
 candidate permutations. Ensemble draws are checked against their target
 laws by KS statistics frozen for fixed seeds, plus an in-test rejection
@@ -35,6 +38,7 @@ from cfpdesign import (
     total_degree,
 )
 from cfpdesign.design import (
+    ROTATE_MIN_VALUES,
     _unique_rows,
     global_select_oracle,
     greedy_select_reference,
@@ -314,6 +318,25 @@ def test_selection_matches_explicit_residual_greedy_at_study_scale(
     np.testing.assert_allclose(got.objective_trace, expected, rtol=1e-8)
 
 
+def test_clustered_candidates_match_explicit_residual_greedy_after_rotation():
+    """42 clusters of near-duplicate candidates, 1e-3 wide, for 60 Legendre
+    rows: once each cluster has a pick, the residuals left are small
+    differences of large downdated squares, so the picks after the loop's
+    first rotation rest on the cancellation recompute in rotated
+    coordinates. P rows keep every step's gap above 1e-9."""
+    rng = np.random.default_rng(1)
+    centers = rng.uniform(-1.0, 1.0, 42)
+    pts = (centers[:, None] + 1e-3 * rng.uniform(-1.0, 1.0, (42, 238))).ravel()
+    cands = manual_candidates(pts, UNIFORM)
+    lam = total_degree(1, 59)
+    assert len(cands) * len(lam) > ROTATE_MIN_VALUES
+    got = afp_select(cands, lam, len(lam))
+    unique, v = _distinct_rows(cands, lam, "P")
+    chosen, gaps = _explicit_residual_greedy(v, len(lam))
+    assert min(gaps) > 1e-9
+    assert got.pivot_order == tuple(int(i) for i in unique[chosen])
+
+
 @st.composite
 def selection_problems(draw):
     dimension = draw(st.integers(1, 2))
@@ -423,6 +446,19 @@ def test_rank_deficient_candidates_raise():
     cands = manual_candidates(np.column_stack([t, t]), UNIFORM)
     with pytest.raises(RankDeficientError, match="rank 2"):
         cfp_select(cands, total_degree(2, 1), 3)
+
+
+@pytest.mark.parametrize("select", [cfp_select, afp_select])
+def test_rank_deficiency_found_after_rotation_names_the_rank(select):
+    """On the curve y = x^3 the 28 TD 6 functions span the 18 powers t^e,
+    e in 0..16 and 18, so the rank runs out after the loop has rotated its
+    10k rows onto the complement of its first 14 directions."""
+    t = np.random.default_rng(0).uniform(-1.0, 1.0, 10_000)
+    cands = manual_candidates(np.column_stack([t, t**3]), UNIFORM)
+    lam = total_degree(2, 6)
+    assert len(cands) * len(lam) > ROTATE_MIN_VALUES and 18 > len(lam) // 2
+    with pytest.raises(RankDeficientError, match="rank 18 before 28 pivots"):
+        select(cands, lam, len(lam))
 
 
 def test_selection_validation():

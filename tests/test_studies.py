@@ -41,6 +41,8 @@ def test_study_config_validation():
         dict(validation_samples=0),
         dict(methods=("CFP", "QMC")),
         dict(methods=()),
+        dict(degrees=(3, 5, 4, 5)),
+        dict(methods=("MC", "AFP", "MC")),
     ]
     for kwargs in bad:
         with pytest.raises(ValueError):
