@@ -3,15 +3,22 @@
 Selection is greedy determinant maximization, computed as lazy pivoted
 Cholesky of the Gram matrix V V^T: each step picks the candidate whose
 residual against the span of the selected rows is largest, which multiplies
-the running determinant modulus by that residual norm, and one matvec with
-the working rows downdates every squared residual. Every residual lies in
-the complement of the chosen directions, so once those fill half the
-working width, the rows are rotated in place onto an orthonormal basis of
-that complement and the width each later step streams shrinks with it; the
-loop consumes V, and the selected rows are evaluated again for the result.
-Ties within a relative window of 1e-12 go to the lowest candidate index; in
-the unit-norm row space the first step is an exact mathematical tie, so the
-window is what keeps the choice well defined.
+the running determinant modulus by that residual norm, and downdates every
+squared residual by its component along the new direction. The loop runs in
+blocks. Squared residuals never increase, so the rows with the largest ones
+form a shortlist that no other row can overtake while the next pick stays
+clear of the largest square left out; the steps of a block read only the
+shortlist, and one matrix product per row block then downdates every row by
+all of the block's directions. Rows that fit in L2 are their own shortlist.
+Every residual lies in the complement of the chosen directions, so once
+those fill half the working width, the rows are rotated in place at a block
+end onto an orthonormal basis of that complement and the width later
+products stream shrinks with it; the loop consumes V, and the selected rows
+are evaluated again for the result. In exact arithmetic every pick is the
+one a step-by-step loop over all rows makes. Ties within a relative window
+of 1e-12 go to the lowest candidate index; in the unit-norm row space the
+first step is an exact mathematical tie, so the window is what keeps the
+choice well defined.
 
 The literal greedy reference and the brute-force subset oracle evaluate
 their objectives from scratch at every step and exist to check the fast
@@ -58,12 +65,16 @@ TIE_RTOL = 1e-12
 # a downdated squared residual below this share of its last exact value has
 # lost half its digits to cancellation (the xGEQP3 test, on squares)
 RECOMPUTE_RATIO = math.sqrt(np.finfo(float).eps)
-# the pivot loop rotates its working rows onto a narrower frame only while
-# they hold more than this many float64 values, 2 MB, the per-core L2 size:
-# rows that fit there already stream about twice as fast as from L3 (a
-# single-thread matvec reads 38-41 GB/s from L2 and 17-20 GB/s from L3 on a
-# 2-core Xeon), so a rotation's fixed cost is not repaid below it
+# the pivot loop picks from a shortlist and rotates its working rows onto a
+# narrower frame only while they hold more than this many float64 values,
+# 2 MB, the per-core L2 size: rows that fit there already stream about twice
+# as fast as from L3 (a single-thread matvec reads 38-41 GB/s from L2 and
+# 17-20 GB/s from L3 on a 2-core Xeon), so they keep the step-by-step loop
 ROTATE_MIN_VALUES = 2**18
+# rows above that gate are picked from a shortlist of this many rows with the
+# largest squared residuals: 512 rows of the widest study rows (143 values)
+# hold 0.6 MB, so each step's matvec reads them from L2
+SHORTLIST_ROWS = 512
 
 REFERENCE_MAX_CANDIDATES = 1000
 ORACLE_MAX_SUBSETS = 10**6
@@ -260,65 +271,116 @@ def _rotate_rows(v: np.ndarray, frame: np.ndarray) -> np.ndarray:
     return out
 
 
+def _window_pick(sq: np.ndarray) -> tuple[int, float, float]:
+    """(pick, largest square, window floor): the pick is the lowest index
+    whose square is within the tie window of the largest."""
+    j = int(sq.argmax())
+    best = float(sq[j])
+    # squared-norm window: a relative tie of TIE_RTOL on the residual norm
+    # is 2 * TIE_RTOL on its square; argmax takes the lowest index
+    lo = best - 2.0 * TIE_RTOL * best
+    return int(np.argmax(sq[: j + 1] >= lo)), best, lo
+
+
+def _recompute_low(
+    v: np.ndarray, sq: np.ndarray, floor: np.ndarray, q: np.ndarray, low: np.ndarray
+) -> None:
+    """Squares below their floor recomputed from v's rows against the
+    directions q, 512 rows at a time, so no temporary the size of v
+    appears; low is a bool buffer the size of sq."""
+    if np.less(sq, floor, out=low).any():
+        rows = np.flatnonzero(low)
+        for start in range(0, rows.size, 512):
+            blk = rows[start : start + 512]
+            res = v[blk] - (v[blk] @ q.T) @ q
+            sq[blk] = np.einsum("ij,ij->i", res, res)
+        floor[rows] = RECOMPUTE_RATIO * sq[rows]
+
+
 def _greedy_pivot_qr(v: np.ndarray, m_points: int) -> tuple[np.ndarray, np.ndarray]:
     """(pivots into v's rows, determinant-modulus trace) of m_points greedy
-    steps. v is consumed: once the directions chosen since the last rotation
-    fill half of its width, and while it holds more than ROTATE_MIN_VALUES
-    values, its rows are rotated in place onto the complement of those
-    directions, so the working set streamed per step shrinks. Residuals that
-    fail the cancellation test are recomputed 512 rows at a time, so no
-    temporary the size of v appears.
+    steps, in blocks.
+
+    A block gathers the SHORTLIST_ROWS rows with the largest squared
+    residuals, plus the window pick, and takes the largest square left out
+    as a bound on every other row: squares never increase, so while the
+    next pick's tie window lies above that bound no other row can be
+    picked or tie, and each step runs on the shortlist alone. When the
+    bound is reached, one product per row block downdates every square by
+    the block's directions, in step order, before the cancellation test
+    runs on all rows. Rows that fit in L2 (at most ROTATE_MIN_VALUES
+    values), and row sets no longer than a shortlist, are their own
+    shortlist, as views: their one block is the whole selection. v is
+    consumed: at a block end where the directions chosen since the last
+    rotation fill half its width, and while it holds more than
+    ROTATE_MIN_VALUES values, its rows are rotated in place onto the
+    complement of those directions.
     """
     sq = np.einsum("ij,ij->i", v, v)
     floor = RECOMPUTE_RATIO * sq
     rank_floor = (1e-12 * math.sqrt(float(np.max(sq)))) ** 2
     q = np.empty((m_points, v.shape[1]))  # directions since the last rotation
-    r = 0
+    r = k = 0
     pivots = np.empty(m_points, dtype=int)
     trace = np.empty(m_points)
     c = np.empty(len(v))
     low = np.empty(len(v), dtype=bool)
     running_det = 1.0
-    for k in range(m_points):
-        j = int(sq.argmax())
-        best = float(sq[j])
-        if best <= rank_floor:
-            raise RankDeficientError(
-                f"candidate rows reached rank {k} before {m_points} pivots"
-            )
-        # squared-norm window: a relative tie of TIE_RTOL on the residual
-        # norm is 2 * TIE_RTOL on its square; argmax takes the lowest index
-        j = int(np.argmax(sq[: j + 1] >= best - 2.0 * TIE_RTOL * best))
-        running_det *= math.sqrt(float(sq[j]))
-        trace[k] = running_det
-        pivots[k] = j
-        if k == m_points - 1:
-            break  # the residuals after the last pick are never read
-        # classical Gram-Schmidt, two passes, against the directions chosen
-        # since the last rotation: v's rows are already orthogonal to the rest
-        w = v[j] - (q[:r] @ v[j]) @ q[:r]
-        w -= (q[:r] @ w) @ q[:r]
-        q[r] = w / math.sqrt(w @ w)
-        np.matmul(v, q[r], out=c)
-        np.multiply(c, c, out=c)
-        sq -= c
-        sq[j] = floor[j] = -math.inf  # never picked nor recomputed again
-        r += 1
-        if np.less(sq, floor, out=low).any():
-            rows = np.flatnonzero(low)
-            for start in range(0, rows.size, 512):
-                blk = rows[start : start + 512]
-                res = v[blk] - (v[blk] @ q[:r].T) @ q[:r]
-                sq[blk] = np.einsum("ij,ij->i", res, res)
-            floor[rows] = RECOMPUTE_RATIO * sq[rows]
-        # a rotation costs 3-6 full-width matvecs (10k rows, widths 30-143),
-        # and each later step saves less than one, so it is never made with
-        # fewer than 4 picks left
-        if 2 * r >= v.shape[1] and m_points - k > 4 and v.size > ROTATE_MIN_VALUES:
+    whole = v.size <= ROTATE_MIN_VALUES or len(v) <= SHORTLIST_ROWS
+    while True:
+        if whole:
+            rows, vs, sqs, floors, outside = None, v, sq, floor, -math.inf
+        else:
+            j = _window_pick(sq)[0]
+            top = np.argpartition(sq, -SHORTLIST_ROWS)[-SHORTLIST_ROWS:]
+            rows = np.sort(top if j in top else np.append(top, j))
+            vs, sqs, floors = v[rows], sq[rows], floor[rows]
+            sq[rows] = -math.inf
+            outside = float(sq.max())
+        start = r
+        while True:
+            j, best, lo = _window_pick(sqs)
+            if r > start and outside >= lo:
+                break  # a row outside the shortlist may be picked or tie
+            if best <= rank_floor:
+                raise RankDeficientError(
+                    f"candidate rows reached rank {k} before {m_points} pivots"
+                )
+            running_det *= math.sqrt(float(sqs[j]))
+            trace[k] = running_det
+            pivots[k] = j if rows is None else rows[j]
+            k += 1
+            if k == m_points:  # the residuals after the last pick are never read
+                return pivots, trace
+            # classical Gram-Schmidt, two passes, against the directions chosen
+            # since the last rotation: v's rows are already orthogonal to the rest
+            w = vs[j] - (q[:r] @ vs[j]) @ q[:r]
+            w -= (q[:r] @ w) @ q[:r]
+            q[r] = w / math.sqrt(w @ w)
+            cs = c[: len(vs)]
+            np.matmul(vs, q[r], out=cs)
+            np.multiply(cs, cs, out=cs)
+            sqs -= cs
+            sqs[j] = floors[j] = -math.inf  # never picked nor recomputed again
+            r += 1
+            _recompute_low(vs, sqs, floors, q[:r], low[: len(vs)])
+        # block end: the rows outside the shortlist catch up on its directions
+        for blk in _row_blocks(len(v), r - start):
+            cb = np.square(v[blk] @ q[start:r].T)
+            sq_blk = sq[blk]
+            for t in range(r - start):
+                sq_blk -= cb[:, t]
+        sq[rows] = sqs
+        floor[rows] = floors
+        _recompute_low(v, sq, floor, q[:r], low)
+        # rotating 10k rows of width 143 onto 71 columns takes about 10 ms,
+        # as long as 13-14 full-width matvecs or one block-end product of 64
+        # directions (2-core Xeon, one thread): the narrower rows of later
+        # products repay it, so it is never made with fewer than 4 picks left
+        if 2 * r >= v.shape[1] and m_points - k >= 4 and v.size > ROTATE_MIN_VALUES:
             frame = np.linalg.qr(q[:r].T, mode="complete")[0][:, r:]
             v = _rotate_rows(v, np.ascontiguousarray(frame))
-            q, r = np.empty((m_points - k - 1, v.shape[1])), 0
-    return pivots, trace
+            q, r = np.empty((m_points - k, v.shape[1])), 0
 
 
 def _selection_rows(
@@ -400,9 +462,11 @@ def cfp_select(
     """Greedy determinant-maximizing selection on unit-norm rows.
 
     Lazy pivoted Cholesky of the Gram matrix of the Christoffel-scaled
-    design matrix, whose working rows shrink onto the complement of the
-    chosen directions as the selection proceeds; the pivots are those of a
-    column-pivoted QR of its transpose.
+    design matrix, run in blocks: each block picks from a shortlist of the
+    rows with the largest residuals while no other row can overtake them,
+    then downdates every row with one matrix product, and the working rows
+    shrink onto the complement of the chosen directions as the selection
+    proceeds. The pivots are those of a column-pivoted QR of its transpose.
     """
     return _qr_select(candidates, index_set, m_points, "Q")
 
@@ -410,7 +474,8 @@ def cfp_select(
 def afp_select(
     candidates: CandidateSet, index_set: MultiIndexSet, m_points: int
 ) -> DesignResult:
-    """Same lazy Cholesky selection on plain rows (approximate Fekete points)."""
+    """Same blocked lazy Cholesky selection on plain rows (approximate Fekete
+    points)."""
     return _qr_select(candidates, index_set, m_points, "P")
 
 

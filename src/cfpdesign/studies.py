@@ -184,7 +184,9 @@ def _sweep(config: StudyConfig, trial_value) -> list[dict]:
     one cell per (method, degree).
 
     trial_value(method, basis, points, degree, trial) scores one trial's
-    design; basis spans the unenriched index set.
+    design; basis spans the unenriched index set. A ValueError from a trial
+    is raised again as the same type, its message prefixed with the cell
+    and trial, such as "AFP degree 30 trial 0: ".
     """
     records = []
     for method in config.methods:
@@ -193,10 +195,14 @@ def _sweep(config: StudyConfig, trial_value) -> list[dict]:
             basis = ProductBasis.for_density(config.density, lam)
             values = np.empty(config.trials)
             for trial in range(config.trials):
-                points = _design_points(
-                    config, method, lam_tilde, m_points, degree, trial
-                )
-                values[trial] = trial_value(method, basis, points, degree, trial)
+                try:
+                    points = _design_points(
+                        config, method, lam_tilde, m_points, degree, trial
+                    )
+                    values[trial] = trial_value(method, basis, points, degree, trial)
+                except ValueError as exc:
+                    where = f"{method} degree {degree} trial {trial}"
+                    raise type(exc)(f"{where}: {exc}") from exc
             q20, q80 = np.quantile(values, [0.2, 0.8])
             cell = {"method": method, "degree": degree, "N": len(lam), "M": m_points}
             for stat, value in (("mean", values.mean()), ("q20", q20), ("q80", q80)):

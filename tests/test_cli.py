@@ -309,6 +309,23 @@ def test_repeated_degrees_or_methods_are_a_usage_error(capsys):
         assert f"error: {message}" in captured.err
 
 
+def test_study_error_names_its_cell(capsys):
+    """Plain Hermite rows at 10k candidates span so many orders of magnitude
+    that AFP reaches the rank floor early at degree 30; the message says
+    which cell and trial failed."""
+    argv = [
+        "study", "cond", "--family", "gaussian", "--dimension", "1",
+        "--degrees", "30", "--methods", "AFP", "--trials", "1", "-o", "-",
+    ]
+    assert _exit_code(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: AFP degree 30 trial 0: candidate rows reached rank 24 "
+        "before 33 pivots\n"
+    )
+
+
 def test_study_with_bad_degree_budget(capsys):
     assert main(
         ["study", "cond", "--degrees", "9", "--candidates", "10", "-o", "-"]

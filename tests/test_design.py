@@ -4,10 +4,11 @@ The lazy pivoted Cholesky selection path is checked four ways: hand-worked
 4-candidate examples with closed-form rows, exact pivot agreement with the
 literal greedy reference on random instances, pivot agreement with an
 in-test explicit-residual greedy at the 10k-candidate sizes the studies
-use (there the loop rotates its rows onto narrower frames; clustered
-candidates and a rank-deficient curve test that frame's cancellation
-recompute and rank floor), and the brute-force subset oracle on cases
-small enough to enumerate.
+use (there the loop picks in blocks from 512-row shortlists and rotates
+its rows onto narrower frames; a built case has a row outside the
+shortlist overtake it, and clustered candidates and a rank-deficient curve
+test the rotated frame's cancellation recompute and rank floor), and the
+brute-force subset oracle on cases small enough to enumerate.
 Hypothesis properties cover the Hadamard-bounded trace and invariance under
 candidate permutations. Ensemble draws are checked against their target
 laws by KS statistics frozen for fixed seeds, plus an in-test rejection
@@ -33,12 +34,15 @@ from cfpdesign import (
     cfp_select,
     condition_number,
     eval_rows,
+    hyperbolic_cross,
     level_set,
     recurrence_coefficients,
     total_degree,
 )
 from cfpdesign.design import (
     ROTATE_MIN_VALUES,
+    SHORTLIST_ROWS,
+    _greedy_pivot_qr,
     _unique_rows,
     global_select_oracle,
     greedy_select_reference,
@@ -335,6 +339,43 @@ def test_clustered_candidates_match_explicit_residual_greedy_after_rotation():
     chosen, gaps = _explicit_residual_greedy(v, len(lam))
     assert min(gaps) > 1e-9
     assert got.pivot_order == tuple(int(i) for i in unique[chosen])
+
+
+@pytest.mark.parametrize(
+    "density,dimension,degree,rule",
+    [(UNIFORM, 2, 12, total_degree), (GAUSSIAN, 4, 8, hyperbolic_cross)],
+)
+@pytest.mark.parametrize("select,space", [(cfp_select, "Q"), (afp_select, "P")])
+def test_shortlist_blocks_match_explicit_residual_greedy(
+    density, dimension, degree, rule, select, space
+):
+    """Rows above the L2 gate and more numerous than a shortlist: every
+    block picks from its 512-row shortlist, and the first Q step ties at
+    unit norm across all 10k rows, so the window pick must be in it."""
+    lam = rule(dimension, degree)
+    cands = candidate_set(density, dimension, 10_000, degree, 5)
+    unique, v = _distinct_rows(cands, lam, space)
+    assert len(v) > SHORTLIST_ROWS and v.size > ROTATE_MIN_VALUES
+    got = select(cands, lam, len(lam))
+    chosen, _ = _explicit_residual_greedy(v, len(lam))
+    assert got.pivot_order == tuple(int(i) for i in unique[chosen])
+
+
+def test_row_outside_the_shortlist_overtakes_it():
+    """600 rows nearly along e_0, norms about 2, and 1400 random rows of norm
+    1: after the first pick the shortlist, all of it near e_0, holds only
+    residuals of about 1e-3, and the next pick lies outside it."""
+    rng = np.random.default_rng(4)
+    v = rng.standard_normal((2000, 200))
+    v /= np.linalg.norm(v, axis=1)[:, None]
+    v[:600] *= 1e-3
+    v[:600, 0] = 2.0 + rng.uniform(0.0, 0.1, 600)
+    assert v.size > ROTATE_MIN_VALUES
+    expected, _ = _explicit_residual_greedy(v, 30)
+    first_shortlist = np.argsort(np.einsum("ij,ij->i", v, v))[-SHORTLIST_ROWS:]
+    assert expected[0] in first_shortlist and expected[1] not in first_shortlist
+    pivots, _ = _greedy_pivot_qr(v.copy(), 30)
+    assert pivots.tolist() == expected
 
 
 @st.composite
