@@ -2,21 +2,18 @@
 
 Selection is greedy determinant maximization, computed as lazy pivoted
 Cholesky of the Gram matrix V V^T: each step picks the candidate whose
-residual against the span of the selected rows is largest, which multiplies
-the running determinant modulus by that residual norm, and downdates every
-squared residual by its component along the new direction. The loop runs in
-blocks. Squared residuals never increase, so the rows with the largest ones
-form a shortlist that no other row can overtake while the next pick stays
-clear of the largest square left out; the steps of a block read only the
-shortlist, and one matrix product per row block then downdates every row by
-all of the block's directions. Rows that fit in L2 are their own shortlist.
-Every residual lies in the complement of the chosen directions, so once
-those fill half the working width, the rows are rotated in place at a block
-end onto an orthonormal basis of that complement and the width later
-products stream shrinks with it; the loop consumes V, and the selected rows
-are evaluated again for the result. In exact arithmetic every pick is the
-one a step-by-step loop over all rows makes. Ties within a relative window
-of 1e-12 go to the lowest candidate index; in the unit-norm row space the
+downdated squared residual against the span of the selected rows is
+largest, orthogonalizes its row against the chosen directions, which
+multiplies the running determinant modulus by that residual norm, and
+downdates every squared residual by its component along the new direction.
+The loop runs in blocks. Squared residuals never increase, so the rows with
+the largest ones form a shortlist that no other row can overtake while the
+next pick stays clear of the largest square left out; the steps of a block
+read only the shortlist, and one matrix product per row block then
+downdates every row by all of the block's directions. Rows that fit in L2
+are their own shortlist. In exact arithmetic every pick is the one a
+step-by-step loop over all rows makes. Ties within a relative window of
+1e-12 go to the lowest candidate index; in the unit-norm row space the
 first step is an exact mathematical tie, so the window is what keeps the
 choice well defined.
 
@@ -65,16 +62,18 @@ TIE_RTOL = 1e-12
 # a downdated squared residual below this share of its last exact value has
 # lost half its digits to cancellation (the xGEQP3 test, on squares)
 RECOMPUTE_RATIO = math.sqrt(np.finfo(float).eps)
-# the pivot loop picks from a shortlist and rotates its working rows onto a
-# narrower frame only while they hold more than this many float64 values,
-# 2 MB, the per-core L2 size: rows that fit there already stream about twice
-# as fast as from L3 (a single-thread matvec reads 38-41 GB/s from L2 and
-# 17-20 GB/s from L3 on a 2-core Xeon), so they keep the step-by-step loop
-ROTATE_MIN_VALUES = 2**18
+# the pivot loop picks from a shortlist only while the rows hold more than
+# this many float64 values, 2 MB, the per-core L2 size: rows that fit there
+# already stream about twice as fast as from L3 (a single-thread matvec reads
+# 38-41 GB/s from L2 and 17-20 GB/s from L3 on a 2-core Xeon), so they keep
+# the step-by-step loop; with shortlists, the study's uniform d=2 TD 2-5
+# loops at 10k candidates ran 1.2-3.1x slower (TD 2: 0.8 -> 1.3-2.6 ms,
+# TD 4: 2.1-2.3 -> 3.2-4.0 ms; medians of 25, one thread)
+SHORTLIST_MIN_VALUES = 2**18
 # rows above that gate are picked from a shortlist of this many rows with the
-# largest squared residuals: 512 rows of the widest study rows (143 values)
-# hold 0.6 MB, so each step's matvec reads them from L2
-SHORTLIST_ROWS = 512
+# largest squared residuals: 1024 rows of the widest study rows (143 values)
+# hold 1.2 MB, so each step's matvec reads them from L2
+SHORTLIST_ROWS = 1024
 
 REFERENCE_MAX_CANDIDATES = 1000
 ORACLE_MAX_SUBSETS = 10**6
@@ -261,25 +260,15 @@ def _tied_lowest(order: np.ndarray, values: np.ndarray, best: float, window: flo
     return int(positions[np.argmin(order[positions])])
 
 
-def _rotate_rows(v: np.ndarray, frame: np.ndarray) -> np.ndarray:
-    """v @ frame written over v's own buffer, one row block at a time, as
-    a C-ordered (m, w') view of that buffer. frame has w' < w columns, so
-    block i's output ends before block i+1's input starts."""
-    out = v.reshape(-1)[: len(v) * frame.shape[1]].reshape(len(v), -1)
-    for blk in _row_blocks(*v.shape):
-        out[blk] = v[blk] @ frame
-    return out
-
-
-def _window_pick(sq: np.ndarray) -> tuple[int, float, float]:
-    """(pick, largest square, window floor): the pick is the lowest index
-    whose square is within the tie window of the largest."""
+def _window_pick(sq: np.ndarray) -> tuple[int, float]:
+    """(pick, window floor): the pick is the lowest index whose square is
+    within the tie window of the largest."""
     j = int(sq.argmax())
     best = float(sq[j])
     # squared-norm window: a relative tie of TIE_RTOL on the residual norm
     # is 2 * TIE_RTOL on its square; argmax takes the lowest index
     lo = best - 2.0 * TIE_RTOL * best
-    return int(np.argmax(sq[: j + 1] >= lo)), best, lo
+    return int(np.argmax(sq[: j + 1] >= lo)), lo
 
 
 def _recompute_low(
@@ -308,25 +297,26 @@ def _greedy_pivot_qr(v: np.ndarray, m_points: int) -> tuple[np.ndarray, np.ndarr
     picked or tie, and each step runs on the shortlist alone. When the
     bound is reached, one product per row block downdates every square by
     the block's directions, in step order, before the cancellation test
-    runs on all rows. Rows that fit in L2 (at most ROTATE_MIN_VALUES
+    runs on all rows. Rows that fit in L2 (at most SHORTLIST_MIN_VALUES
     values), and row sets no longer than a shortlist, are their own
-    shortlist, as views: their one block is the whole selection. v is
-    consumed: at a block end where the directions chosen since the last
-    rotation fill half its width, and while it holds more than
-    ROTATE_MIN_VALUES values, its rows are rotated in place onto the
-    complement of those directions.
+    shortlist, as views: their one block is the whole selection. The
+    picks follow the downdated squares; the rank test and the trace read
+    the picked row's Gram-Schmidt residual, which keeps its digits where a
+    downdated square has lost them to cancellation. v is not written.
     """
     sq = np.einsum("ij,ij->i", v, v)
     floor = RECOMPUTE_RATIO * sq
     rank_floor = (1e-12 * math.sqrt(float(np.max(sq)))) ** 2
-    q = np.empty((m_points, v.shape[1]))  # directions since the last rotation
-    r = k = 0
+    q = np.empty((m_points, v.shape[1]))
+    k = 0
     pivots = np.empty(m_points, dtype=int)
     trace = np.empty(m_points)
     c = np.empty(len(v))
     low = np.empty(len(v), dtype=bool)
     running_det = 1.0
-    whole = v.size <= ROTATE_MIN_VALUES or len(v) <= SHORTLIST_ROWS
+    whole = v.size <= SHORTLIST_MIN_VALUES or len(v) <= SHORTLIST_ROWS
+    # one buffer holds every block's shortlist rows, so two never coexist
+    shortlist = None if whole else np.empty((SHORTLIST_ROWS + 1, v.shape[1]))
     while True:
         if whole:
             rows, vs, sqs, floors, outside = None, v, sq, floor, -math.inf
@@ -334,53 +324,48 @@ def _greedy_pivot_qr(v: np.ndarray, m_points: int) -> tuple[np.ndarray, np.ndarr
             j = _window_pick(sq)[0]
             top = np.argpartition(sq, -SHORTLIST_ROWS)[-SHORTLIST_ROWS:]
             rows = np.sort(top if j in top else np.append(top, j))
-            vs, sqs, floors = v[rows], sq[rows], floor[rows]
+            vs = np.take(v, rows, axis=0, out=shortlist[: len(rows)])
+            sqs, floors = sq[rows], floor[rows]
             sq[rows] = -math.inf
             outside = float(sq.max())
-        start = r
+        start = k
         while True:
-            j, best, lo = _window_pick(sqs)
-            if r > start and outside >= lo:
-                break  # a row outside the shortlist may be picked or tie
-            if best <= rank_floor:
+            j, lo = _window_pick(sqs)
+            # a row outside the shortlist may be picked or tie; lo is nan
+            # once every shortlist row is picked
+            if k > start and not lo > outside:
+                break
+            # classical Gram-Schmidt, two passes
+            w = vs[j] - (q[:k] @ vs[j]) @ q[:k]
+            w -= (q[:k] @ w) @ q[:k]
+            ww = float(w @ w)
+            if ww <= rank_floor:
                 raise RankDeficientError(
                     f"candidate rows reached rank {k} before {m_points} pivots"
                 )
-            running_det *= math.sqrt(float(sqs[j]))
+            norm = math.sqrt(ww)
+            running_det *= norm
             trace[k] = running_det
             pivots[k] = j if rows is None else rows[j]
+            q[k] = w / norm
             k += 1
             if k == m_points:  # the residuals after the last pick are never read
                 return pivots, trace
-            # classical Gram-Schmidt, two passes, against the directions chosen
-            # since the last rotation: v's rows are already orthogonal to the rest
-            w = vs[j] - (q[:r] @ vs[j]) @ q[:r]
-            w -= (q[:r] @ w) @ q[:r]
-            q[r] = w / math.sqrt(w @ w)
             cs = c[: len(vs)]
-            np.matmul(vs, q[r], out=cs)
+            np.matmul(vs, q[k - 1], out=cs)
             np.multiply(cs, cs, out=cs)
             sqs -= cs
             sqs[j] = floors[j] = -math.inf  # never picked nor recomputed again
-            r += 1
-            _recompute_low(vs, sqs, floors, q[:r], low[: len(vs)])
+            _recompute_low(vs, sqs, floors, q[:k], low[: len(vs)])
         # block end: the rows outside the shortlist catch up on its directions
-        for blk in _row_blocks(len(v), r - start):
-            cb = np.square(v[blk] @ q[start:r].T)
+        for blk in _row_blocks(len(v), k - start):
+            cb = np.square(v[blk] @ q[start:k].T)
             sq_blk = sq[blk]
-            for t in range(r - start):
+            for t in range(k - start):
                 sq_blk -= cb[:, t]
         sq[rows] = sqs
         floor[rows] = floors
-        _recompute_low(v, sq, floor, q[:r], low)
-        # rotating 10k rows of width 143 onto 71 columns takes about 10 ms,
-        # as long as 13-14 full-width matvecs or one block-end product of 64
-        # directions (2-core Xeon, one thread): the narrower rows of later
-        # products repay it, so it is never made with fewer than 4 picks left
-        if 2 * r >= v.shape[1] and m_points - k >= 4 and v.size > ROTATE_MIN_VALUES:
-            frame = np.linalg.qr(q[:r].T, mode="complete")[0][:, r:]
-            v = _rotate_rows(v, np.ascontiguousarray(frame))
-            q, r = np.empty((m_points - k, v.shape[1])), 0
+        _recompute_low(v, sq, floor, q[:k], low)
 
 
 def _selection_rows(
@@ -388,9 +373,9 @@ def _selection_rows(
     index_set: MultiIndexSet,
     m_points: int,
     space: str,
-) -> tuple[np.ndarray, ProductBasis, np.ndarray]:
-    """(indices of the distinct candidates, the basis, their rows in space)
-    for a selection of m_points; raises ValueError when that many cannot be
+) -> tuple[np.ndarray, np.ndarray]:
+    """(indices of the distinct candidates, their rows in space) for a
+    selection of m_points; raises ValueError when that many cannot be
     picked."""
     if index_set.dimension != candidates.dimension:
         raise ValueError("index set and candidates disagree on dimension")
@@ -406,7 +391,7 @@ def _selection_rows(
             f"only {len(unique)} distinct candidates for {m_points} points"
         )
     basis = ProductBasis.for_density(candidates.densities, index_set)
-    return unique, basis, eval_rows(basis, candidates.points[unique], space)
+    return unique, eval_rows(basis, candidates.points[unique], space)
 
 
 def _design_result(
@@ -447,13 +432,9 @@ def _qr_select(
     m_points: int,
     space: str,
 ) -> DesignResult:
-    unique, basis, v = _selection_rows(candidates, index_set, m_points, space)
+    unique, v = _selection_rows(candidates, index_set, m_points, space)
     local, trace = _greedy_pivot_qr(v, m_points)
-    # the loop consumed v; the selected rows are evaluated afresh, which
-    # gives the same bits as v's rows before the loop
-    picked = unique[local]
-    selected = eval_rows(basis, candidates.points[picked], space)
-    return _design_result(candidates, index_set, space, picked, selected, trace)
+    return _design_result(candidates, index_set, space, unique[local], v[local], trace)
 
 
 def cfp_select(
@@ -464,9 +445,8 @@ def cfp_select(
     Lazy pivoted Cholesky of the Gram matrix of the Christoffel-scaled
     design matrix, run in blocks: each block picks from a shortlist of the
     rows with the largest residuals while no other row can overtake them,
-    then downdates every row with one matrix product, and the working rows
-    shrink onto the complement of the chosen directions as the selection
-    proceeds. The pivots are those of a column-pivoted QR of its transpose.
+    then downdates every row with one matrix product. The pivots are those
+    of a column-pivoted QR of its transpose.
     """
     return _qr_select(candidates, index_set, m_points, "Q")
 
@@ -506,7 +486,7 @@ def greedy_select_reference(
         raise ValueError(
             f"reference selection capped at {REFERENCE_MAX_CANDIDATES} candidates"
         )
-    unique, _, v = _selection_rows(candidates, index_set, m_points, space)
+    unique, v = _selection_rows(candidates, index_set, m_points, space)
 
     chosen: list[int] = []
     remaining = list(range(len(unique)))
@@ -554,7 +534,7 @@ def global_select_oracle(
     """
     if objective not in ("det", "cond"):
         raise ValueError("objective must be 'det' or 'cond'")
-    unique, _, v = _selection_rows(candidates, index_set, m_points, space)
+    unique, v = _selection_rows(candidates, index_set, m_points, space)
     n_subsets = math.comb(len(unique), m_points)
     if n_subsets > ORACLE_MAX_SUBSETS:
         raise ValueError(f"{n_subsets} subsets exceed the oracle guard")

@@ -130,8 +130,8 @@ def test_eval_rows_bit_equal_across_block_boundaries():
 @pytest.mark.parametrize("density", [UNIFORM, GAUSSIAN], ids=["uniform", "gaussian"])
 @pytest.mark.parametrize("dimension, degree", [(1, 30), (2, 12), (4, 5)])
 def test_rows_evaluated_at_a_subset_equal_the_full_rows(density, dimension, degree):
-    # selection evaluates the chosen rows afresh, after its loop consumed the
-    # candidate rows, and reports diagnostics from them
+    # a point's rows do not depend on the other points evaluated with it, so
+    # the rows of any subset are bit-equal to the matching full rows
     basis = ProductBasis.for_density(density, total_degree(dimension, degree))
     pts = candidate_set(density, dimension, 10_000, degree, seed=7).points
     rows_per_block = ROW_BLOCK_VALUES // len(basis.index_set)

@@ -4,11 +4,11 @@ The lazy pivoted Cholesky selection path is checked four ways: hand-worked
 4-candidate examples with closed-form rows, exact pivot agreement with the
 literal greedy reference on random instances, pivot agreement with an
 in-test explicit-residual greedy at the 10k-candidate sizes the studies
-use (there the loop picks in blocks from 512-row shortlists and rotates
-its rows onto narrower frames; a built case has a row outside the
-shortlist overtake it, and clustered candidates and a rank-deficient curve
-test the rotated frame's cancellation recompute and rank floor), and the
-brute-force subset oracle on cases small enough to enumerate.
+use (there the loop picks in blocks from 1024-row shortlists; a built case
+has a row outside the shortlist overtake it, clustered candidates test the
+cancellation recompute and the trace's digits, and a rank-deficient curve
+tests the rank floor under several shortlist sizes), and the brute-force
+subset oracle on cases small enough to enumerate.
 Hypothesis properties cover the Hadamard-bounded trace and invariance under
 candidate permutations. Ensemble draws are checked against their target
 laws by KS statistics frozen for fixed seeds, plus an in-test rejection
@@ -39,8 +39,9 @@ from cfpdesign import (
     recurrence_coefficients,
     total_degree,
 )
+from cfpdesign import design
 from cfpdesign.design import (
-    ROTATE_MIN_VALUES,
+    SHORTLIST_MIN_VALUES,
     SHORTLIST_ROWS,
     _greedy_pivot_qr,
     _unique_rows,
@@ -322,23 +323,38 @@ def test_selection_matches_explicit_residual_greedy_at_study_scale(
     np.testing.assert_allclose(got.objective_trace, expected, rtol=1e-8)
 
 
-def test_clustered_candidates_match_explicit_residual_greedy_after_rotation():
+@pytest.mark.parametrize("select,space", [(afp_select, "P"), (cfp_select, "Q")])
+def test_clustered_candidates_match_explicit_residual_greedy(select, space):
     """42 clusters of near-duplicate candidates, 1e-3 wide, for 60 Legendre
     rows: once each cluster has a pick, the residuals left are small
-    differences of large downdated squares, so the picks after the loop's
-    first rotation rest on the cancellation recompute in rotated
-    coordinates. P rows keep every step's gap above 1e-9."""
+    differences of large downdated squares, so the later picks rest on the
+    cancellation recompute. P rows keep every step's gap above 1e-9; Q rows
+    of one cluster nearly tie (gaps down to 1e-12), so only P pivots are
+    compared. The trace multiplies in each pick's Gram-Schmidt residual,
+    not its downdated square, so its last entry keeps 8 digits of the
+    determinant."""
     rng = np.random.default_rng(1)
     centers = rng.uniform(-1.0, 1.0, 42)
     pts = (centers[:, None] + 1e-3 * rng.uniform(-1.0, 1.0, (42, 238))).ravel()
     cands = manual_candidates(pts, UNIFORM)
     lam = total_degree(1, 59)
-    assert len(cands) * len(lam) > ROTATE_MIN_VALUES
-    got = afp_select(cands, lam, len(lam))
-    unique, v = _distinct_rows(cands, lam, "P")
-    chosen, gaps = _explicit_residual_greedy(v, len(lam))
-    assert min(gaps) > 1e-9
-    assert got.pivot_order == tuple(int(i) for i in unique[chosen])
+    assert len(cands) * len(lam) > SHORTLIST_MIN_VALUES
+    got = select(cands, lam, len(lam))
+    unique, v = _distinct_rows(cands, lam, space)
+    if space == "P":
+        chosen, gaps = _explicit_residual_greedy(v, len(lam))
+        assert min(gaps) > 1e-9
+        assert got.pivot_order == tuple(int(i) for i in unique[chosen])
+    rows = v[np.searchsorted(unique, got.pivot_order)]
+    expected = [
+        np.prod(np.linalg.svd(rows[: k + 1], compute_uv=False))
+        for k in range(len(lam))
+    ]
+    np.testing.assert_allclose(got.objective_trace, expected, rtol=1e-6)
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        det = abs(mpmath.det(mpmath.matrix(rows.tolist())))
+        assert float(abs(got.objective_trace[-1] / det - 1)) < 1e-8
 
 
 @pytest.mark.parametrize(
@@ -350,31 +366,48 @@ def test_shortlist_blocks_match_explicit_residual_greedy(
     density, dimension, degree, rule, select, space
 ):
     """Rows above the L2 gate and more numerous than a shortlist: every
-    block picks from its 512-row shortlist, and the first Q step ties at
+    block picks from its shortlist, and the first Q step ties at
     unit norm across all 10k rows, so the window pick must be in it."""
     lam = rule(dimension, degree)
     cands = candidate_set(density, dimension, 10_000, degree, 5)
     unique, v = _distinct_rows(cands, lam, space)
-    assert len(v) > SHORTLIST_ROWS and v.size > ROTATE_MIN_VALUES
+    assert len(v) > SHORTLIST_ROWS and v.size > SHORTLIST_MIN_VALUES
     got = select(cands, lam, len(lam))
     chosen, _ = _explicit_residual_greedy(v, len(lam))
     assert got.pivot_order == tuple(int(i) for i in unique[chosen])
 
 
 def test_row_outside_the_shortlist_overtakes_it():
-    """600 rows nearly along e_0, norms about 2, and 1400 random rows of norm
-    1: after the first pick the shortlist, all of it near e_0, holds only
-    residuals of about 1e-3, and the next pick lies outside it."""
+    """1200 rows nearly along e_0, norms about 2, and 2800 random rows of
+    norm 1: after the first pick the shortlist, all of it near e_0, holds
+    only residuals of about 1e-3, and the next pick lies outside it."""
     rng = np.random.default_rng(4)
-    v = rng.standard_normal((2000, 200))
+    v = rng.standard_normal((4000, 200))
     v /= np.linalg.norm(v, axis=1)[:, None]
-    v[:600] *= 1e-3
-    v[:600, 0] = 2.0 + rng.uniform(0.0, 0.1, 600)
-    assert v.size > ROTATE_MIN_VALUES
+    v[:1200] *= 1e-3
+    v[:1200, 0] = 2.0 + rng.uniform(0.0, 0.1, 1200)
+    assert v.size > SHORTLIST_MIN_VALUES
     expected, _ = _explicit_residual_greedy(v, 30)
     first_shortlist = np.argsort(np.einsum("ij,ij->i", v, v))[-SHORTLIST_ROWS:]
     assert expected[0] in first_shortlist and expected[1] not in first_shortlist
-    pivots, _ = _greedy_pivot_qr(v.copy(), 30)
+    pivots, _ = _greedy_pivot_qr(v, 30)
+    assert pivots.tolist() == expected
+
+
+def test_shortlist_picked_out_starts_a_new_block(monkeypatch):
+    """64 orthogonal rows of norm 2 and 536 random rows of norm 1, with a
+    64-row shortlist: the first block picks every shortlist row while no
+    other row comes near, and the next pick must come from a new block, not
+    end the selection as rank deficient."""
+    monkeypatch.setattr(design, "SHORTLIST_ROWS", 64)
+    rng = np.random.default_rng(8)
+    v = rng.standard_normal((600, 500))
+    v /= np.linalg.norm(v, axis=1)[:, None]
+    v[:64] = 2.0 * np.eye(500)[:64]
+    assert v.size > SHORTLIST_MIN_VALUES
+    expected, _ = _explicit_residual_greedy(v, 80)
+    assert sorted(expected[:64]) == list(range(64))
+    pivots, _ = _greedy_pivot_qr(v, 80)
     assert pivots.tolist() == expected
 
 
@@ -489,15 +522,20 @@ def test_rank_deficient_candidates_raise():
         cfp_select(cands, total_degree(2, 1), 3)
 
 
+@pytest.mark.parametrize("shortlist_rows", [512, 1024, 2048])
 @pytest.mark.parametrize("select", [cfp_select, afp_select])
-def test_rank_deficiency_found_after_rotation_names_the_rank(select):
+def test_rank_deficiency_names_the_rank(select, shortlist_rows, monkeypatch):
     """On the curve y = x^3 the 28 TD 6 functions span the 18 powers t^e,
-    e in 0..16 and 18, so the rank runs out after the loop has rotated its
-    10k rows onto the complement of its first 14 directions."""
+    e in 0..16 and 18, so the rank runs out after 18 picks. The 19th pick's
+    downdated square can sit just above the rank floor while its true
+    residual is rounding noise: the verdict must not depend on how the
+    shortlist blocks fall."""
+    monkeypatch.setattr(design, "SHORTLIST_ROWS", shortlist_rows)
     t = np.random.default_rng(0).uniform(-1.0, 1.0, 10_000)
     cands = manual_candidates(np.column_stack([t, t**3]), UNIFORM)
     lam = total_degree(2, 6)
-    assert len(cands) * len(lam) > ROTATE_MIN_VALUES and 18 > len(lam) // 2
+    assert len(cands) * len(lam) > SHORTLIST_MIN_VALUES
+    assert len(cands) > shortlist_rows
     with pytest.raises(RankDeficientError, match="rank 18 before 28 pivots"):
         select(cands, lam, len(lam))
 
