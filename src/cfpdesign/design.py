@@ -18,7 +18,7 @@ first step is an exact mathematical tie, so the window is what keeps the
 choice well defined.
 
 The literal greedy reference and the brute-force subset oracle evaluate
-their objectives from scratch at every step and exist to check the fast
+their determinants from scratch at every step and exist to check the fast
 path, so they must stay independent of it; they share only the row set-up
 and the result build with it, and are not exported.
 """
@@ -38,7 +38,6 @@ from .basis import (
     _cond_from_singular,
     _det_from_singular,
     _row_blocks,
-    condition_number,
     det_modulus,
     eval_rows,
 )
@@ -53,11 +52,7 @@ __all__ = [
     "afp_select",
 ]
 
-TAG_IID = "iid"
-TAG_CHEBYSHEV = "chebyshev"
-TAG_BALL = "ball"
-
-# relative window within which per-step objectives count as tied
+# relative window within which per-step determinants count as tied
 TIE_RTOL = 1e-12
 # a downdated squared residual below this share of its last exact value has
 # lost half its digits to cancellation (the xGEQP3 test, on squares)
@@ -83,13 +78,11 @@ ORACLE_MAX_SUBSETS = 10**6
 class CandidateSet:
     """A finite stand-in for the sample domain.
 
-    points has shape (m_total, d); ensemble_tags records which ensemble each
-    point came from; densities and degree_hint keep enough provenance to
-    rebuild bases and reproduce the draw from seed.
+    points has shape (m_total, d); densities and degree_hint keep enough
+    provenance to rebuild bases and reproduce the draw from seed.
     """
 
     points: np.ndarray
-    ensemble_tags: tuple[str, ...]
     densities: tuple[DensitySpec, ...]
     degree_hint: int
     seed: int
@@ -97,8 +90,6 @@ class CandidateSet:
     def __post_init__(self):
         if self.points.ndim != 2:
             raise ValueError("points must have shape (m_total, d)")
-        if len(self.ensemble_tags) != self.points.shape[0]:
-            raise ValueError("one ensemble tag per point required")
         if len(self.densities) != self.points.shape[1]:
             raise ValueError("one density per coordinate required")
         bad = np.flatnonzero(~np.isfinite(self.points).all(axis=1))
@@ -124,10 +115,9 @@ class DesignResult:
     """Selected points plus the diagnostics of the selection run.
 
     points are in selection order; pivot_order holds the candidate indices;
-    objective_trace holds the per-step objective (determinant modulus, or
-    condition number for the cond-objective reference). det_modulus and
-    condition_number describe the final selected matrix in the space the
-    selection ran in.
+    objective_trace holds the running determinant modulus after each step.
+    det_modulus and condition_number describe the final selected matrix in
+    the space the selection ran in.
     """
 
     points: np.ndarray
@@ -215,16 +205,11 @@ def candidate_set(
     )
     if kinds == {UNIFORM}:
         asym = np.cos(np.pi * rng_asym.random((half, dimension)))
-        tag = TAG_CHEBYSHEV
     else:
         asym = _sample_ball(rng_asym, dimension, degree_hint, half)
-        tag = TAG_BALL
 
-    points = np.vstack([iid, asym])
-    tags = (TAG_IID,) * half + (tag,) * half
     return CandidateSet(
-        points=points,
-        ensemble_tags=tags,
+        points=np.vstack([iid, asym]),
         densities=densities,
         degree_hint=degree_hint,
         seed=seed,
@@ -251,13 +236,6 @@ def _unique_rows(points: np.ndarray) -> np.ndarray:
     leads = np.ones(len(group), dtype=bool)
     leads[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
     return np.sort(np.concatenate([order[~tied], group[ranked_order[leads]]]))
-
-
-def _tied_lowest(order: np.ndarray, values: np.ndarray, best: float, window: float) -> int:
-    """Position of the lowest original index among values within the window."""
-    mask = values >= best - window
-    positions = np.flatnonzero(mask)
-    return int(positions[np.argmin(order[positions])])
 
 
 def _window_pick(sq: np.ndarray) -> tuple[int, float]:
@@ -471,17 +449,13 @@ def greedy_select_reference(
     index_set: MultiIndexSet,
     m_points: int,
     space: str,
-    objective: str,
 ) -> DesignResult:
-    """Literal greedy selection: re-evaluate the objective for every
-    remaining candidate at every step.
+    """Literal greedy selection: re-evaluate the determinant modulus for
+    every remaining candidate at every step.
 
-    objective "det" maximizes the determinant modulus, "cond" minimizes the
-    condition number. Quadratic cost per step; candidate sets are capped at
-    1000 points. This is the oracle the QR path is tested against.
+    Quadratic cost per step; candidate sets are capped at 1000 points. This
+    is the oracle the QR path is tested against.
     """
-    if objective not in ("det", "cond"):
-        raise ValueError("objective must be 'det' or 'cond'")
     if len(candidates) > REFERENCE_MAX_CANDIDATES:
         raise ValueError(
             f"reference selection capped at {REFERENCE_MAX_CANDIDATES} candidates"
@@ -492,31 +466,19 @@ def greedy_select_reference(
     remaining = list(range(len(unique)))
     trace = np.empty(m_points)
     for k in range(m_points):
-        if objective == "det":
-            values = np.array(
-                [_log_det_modulus(v[chosen + [i]]) for i in remaining]
-            )
-            best = float(np.max(values))
-            if math.isinf(best):
-                raise RankDeficientError(
-                    f"every candidate is rank deficient at step {k}"
-                )
-            # absolute window in log space is a relative window on the det
-            pick = _tied_lowest(unique[remaining], values, best, TIE_RTOL)
-        else:
-            values = np.array(
-                [-condition_number(v[chosen + [i]]) for i in remaining]
-            )
-            best = float(np.max(values))
-            window = TIE_RTOL * abs(best) if math.isfinite(best) else 0.0
-            pick = _tied_lowest(unique[remaining], values, best, window)
-        chosen.append(remaining.pop(pick))
-        rows = v[chosen]
-        trace[k] = det_modulus(rows) if objective == "det" else condition_number(rows)
+        values = np.array([_log_det_modulus(v[chosen + [i]]) for i in remaining])
+        best = float(np.max(values))
+        if math.isinf(best):
+            raise RankDeficientError(f"every candidate is rank deficient at step {k}")
+        # absolute window in log space is a relative window on the det; the
+        # lowest candidate index inside it wins
+        tied = np.flatnonzero(values >= best - TIE_RTOL)
+        chosen.append(remaining.pop(int(tied[np.argmin(unique[remaining][tied])])))
+        trace[k] = det_modulus(v[chosen])
 
     return _design_result(
         candidates, index_set, space, unique[chosen], v[chosen], trace,
-        objective=objective, reference=True,
+        reference=True,
     )
 
 
@@ -525,15 +487,13 @@ def global_select_oracle(
     index_set: MultiIndexSet,
     m_points: int,
     space: str,
-    objective: str,
 ) -> DesignResult:
-    """Exhaustive search over all candidate subsets of the given size.
+    """Exhaustive search for the subset of the given size with the largest
+    determinant modulus.
 
     Ties keep the first subset in index order. Guarded to at most 1e6
     subsets; strictly a test oracle.
     """
-    if objective not in ("det", "cond"):
-        raise ValueError("objective must be 'det' or 'cond'")
     unique, v = _selection_rows(candidates, index_set, m_points, space)
     n_subsets = math.comb(len(unique), m_points)
     if n_subsets > ORACLE_MAX_SUBSETS:
@@ -542,25 +502,16 @@ def global_select_oracle(
     best_combo = None
     best_value = -math.inf
     for combo in itertools.combinations(range(len(unique)), m_points):
-        rows = v[list(combo)]
-        if objective == "det":
-            value = _log_det_modulus(rows)
-        else:
-            kappa = condition_number(rows)
-            value = -kappa if math.isfinite(kappa) else -math.inf
+        value = _log_det_modulus(v[list(combo)])
         if value > best_value:
             best_value = value
             best_combo = combo
-    if best_combo is None or math.isinf(best_value) and best_value < 0:
+    if best_combo is None:
         raise RankDeficientError("no subset of full rank exists")
 
     chosen = list(best_combo)
-    trace = np.array(
-        [det_modulus(v[chosen[: k + 1]]) for k in range(m_points)]
-        if objective == "det"
-        else [condition_number(v[chosen[: k + 1]]) for k in range(m_points)]
-    )
+    trace = np.array([det_modulus(v[chosen[: k + 1]]) for k in range(m_points)])
     return _design_result(
         candidates, index_set, space, unique[chosen], v[chosen], trace,
-        objective=objective, oracle=True,
+        oracle=True,
     )

@@ -7,6 +7,8 @@ Every family follows the three-term recurrence
     y phi_n(y) = sqrt(b_n) phi_{n-1}(y) + a_n phi_n(y) + sqrt(b_{n+1}) phi_{n+1}(y)
 
 with phi_0 = 1, so the phi_n are orthonormal with respect to the density.
+Both supported densities are symmetric, so a_n = 0 for every n and only the
+b_n are stored.
 The ratio r_N = phi_N / phi_{N-1} is strictly increasing between its poles,
 which makes its level sets A_N(y) = r_N^{-1}(r_N(y)) sets of exactly N
 distinct points; those sets carry the induced quadrature rules used by the
@@ -68,39 +70,29 @@ class DensitySpec:
 class RecurrenceTable:
     """Recurrence coefficients of one orthonormal family.
 
-    alpha holds a_0 .. a_{n_max}; beta holds b_1 .. b_{n_max}, all positive.
-    Instances are immutable: the arrays are marked read-only on construction.
+    beta holds b_1 .. b_{n_max}, all positive; a_n = 0 is not stored. The
+    table is immutable: beta is marked read-only on construction.
     """
 
     density: DensitySpec
-    alpha: np.ndarray
     beta: np.ndarray
 
     def __post_init__(self):
-        if self.alpha.ndim != 1 or self.beta.ndim != 1:
-            raise ValueError("alpha and beta must be one-dimensional")
-        if len(self.alpha) != len(self.beta) + 1:
-            raise ValueError("need one more diagonal entry than off-diagonals")
+        if self.beta.ndim != 1:
+            raise ValueError("beta must be one-dimensional")
         if len(self.beta) < 1:
             raise ValueError("table must cover degree at least 1")
         if np.any(self.beta <= 0.0):
             raise ValueError("all recurrence weights b_n must be positive")
-        self.alpha.setflags(write=False)
         self.beta.setflags(write=False)
 
     @property
     def n_max(self) -> int:
-        return len(self.alpha) - 1
-
-    def offdiag(self, n: int) -> float:
-        """b_n for 1 <= n <= n_max."""
-        if not 1 <= n <= self.n_max:
-            raise ValueError(f"b_{n} is outside the tabulated range")
-        return float(self.beta[n - 1])
+        return len(self.beta)
 
 
 def recurrence_coefficients(density: DensitySpec, n_max: int) -> RecurrenceTable:
-    """Tabulate a_0..a_{n_max} and b_1..b_{n_max} for the given density.
+    """Tabulate b_1..b_{n_max} for the given density.
 
     Uniform on [-1, 1]: a_n = 0, b_n = n^2 / (4 n^2 - 1).
     Gaussian exp(-y^2)/sqrt(pi): a_n = 0, b_n = n / 2.
@@ -112,9 +104,7 @@ def recurrence_coefficients(density: DensitySpec, n_max: int) -> RecurrenceTable
         beta = n * n / (4.0 * n * n - 1.0)
     else:
         beta = n / 2.0
-    # both densities are symmetric, so a_n = 0 exactly
-    alpha = np.zeros(n_max + 1)
-    return RecurrenceTable(density=density, alpha=alpha, beta=beta)
+    return RecurrenceTable(density=density, beta=beta)
 
 
 def eval_phi_sequence(table: RecurrenceTable, n: int, y):
@@ -130,11 +120,9 @@ def eval_phi_sequence(table: RecurrenceTable, n: int, y):
     out[0] = 1.0
     if n >= 1:
         sqb = np.sqrt(table.beta)
-        out[1] = (y_arr - table.alpha[0]) / sqb[0]
+        out[1] = y_arr / sqb[0]
         for k in range(1, n):
-            out[k + 1] = (
-                (y_arr - table.alpha[k]) * out[k] - sqb[k - 1] * out[k - 1]
-            ) / sqb[k]
+            out[k + 1] = (y_arr * out[k] - sqb[k - 1] * out[k - 1]) / sqb[k]
     return out
 
 
@@ -149,9 +137,7 @@ def eval_phi(table: RecurrenceTable, n: int, y):
 def _jacobi_bands(table: RecurrenceTable, n: int) -> tuple[np.ndarray, np.ndarray]:
     if not 1 <= n <= table.n_max:
         raise ValueError(f"order {n} outside tabulated range 1..{table.n_max}")
-    diag = table.alpha[:n].copy()
-    off = np.sqrt(table.beta[: n - 1])
-    return diag, off
+    return np.zeros(n), np.sqrt(table.beta[: n - 1])
 
 
 def gauss_rule(table: RecurrenceTable, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -210,7 +196,7 @@ def level_set(table: RecurrenceTable, n: int, y: float) -> np.ndarray:
             f"y={y!r} is a pole of r_{n} (root of phi_{n - 1}); no level set there"
         )
     diag, off = _jacobi_bands(table, n)
-    diag[-1] += c * math.sqrt(table.offdiag(n))
+    diag[-1] += c * math.sqrt(table.beta[n - 1])
     return eigh_tridiagonal(diag, off, eigvals_only=True)
 
 
@@ -218,7 +204,7 @@ def _poly_roots_bisect(table: RecurrenceTable, n: int) -> np.ndarray:
     """All n roots of phi_n by interlacing brackets and plain bisection."""
     if n == 0:
         return np.empty(0)
-    roots = np.array([table.alpha[0]])  # phi_1 root
+    roots = np.zeros(1)  # phi_1 root
     for k in range(2, n + 1):
         f = lambda z: eval_phi(table, k, z)  # noqa: E731
         # roots of phi_k interlace those of phi_{k-1}; pad outer brackets

@@ -356,7 +356,6 @@ def verify_oned(family: str, n_max: int) -> list[dict]:
                 pool = np.concatenate(([y], others, _RECOVERY_MESH[family]))
                 cands = CandidateSet(
                     points=pool[:, None].copy(),
-                    ensemble_tags=("fixed",) * len(pool),
                     densities=(density,),
                     degree_hint=n,
                     seed=0,

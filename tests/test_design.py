@@ -60,7 +60,6 @@ def manual_candidates(points, density):
         pts = pts[:, None]
     return CandidateSet(
         points=pts,
-        ensemble_tags=("iid",) * len(pts),
         densities=(density,) * pts.shape[1],
         degree_hint=1,
         seed=0,
@@ -70,14 +69,22 @@ def manual_candidates(points, density):
 # ---------------------------------------------------------------- ensembles
 
 
-def test_candidate_set_split_and_tags():
-    c = candidate_set(UNIFORM, 2, 1000, 4, 0)
+def test_candidate_set_split():
+    seed = 3
+    c = candidate_set(UNIFORM, 2, 1000, 4, seed)
     assert len(c) == 1000
     assert c.dimension == 2
-    assert c.ensemble_tags[:500] == ("iid",) * 500
-    assert c.ensemble_tags[500:] == ("chebyshev",) * 500
-    g = candidate_set(GAUSSIAN, 3, 100, 4, 0)
-    assert g.ensemble_tags[50:] == ("ball",) * 50
+    # each half replays from its own sub-seed: iid coordinates one column
+    # at a time, then Chebyshev draws cos(pi U)
+    rng_iid = np.random.default_rng(np.random.SeedSequence([seed, 0]))
+    iid = np.column_stack([rng_iid.uniform(-1.0, 1.0, 500) for _ in range(2)])
+    np.testing.assert_array_equal(c.points[:500], iid)
+    rng_asym = np.random.default_rng(np.random.SeedSequence([seed, 1]))
+    np.testing.assert_array_equal(
+        c.points[500:], np.cos(np.pi * rng_asym.random((500, 2)))
+    )
+    g = candidate_set(GAUSSIAN, 3, 100, 4, seed)
+    assert np.all(np.linalg.norm(g.points[50:], axis=1) <= math.sqrt(2.0 * 4))
 
 
 def test_candidate_set_validation():
@@ -170,7 +177,6 @@ def test_candidate_set_bitwise_deterministic():
     a = candidate_set(GAUSSIAN, 3, 400, 6, 9)
     b = candidate_set(GAUSSIAN, 3, 400, 6, 9)
     np.testing.assert_array_equal(a.points, b.points)
-    assert a.ensemble_tags == b.ensemble_tags
     c = candidate_set(GAUSSIAN, 3, 400, 6, 10)
     assert not np.array_equal(a.points, c.points)
 
@@ -216,21 +222,10 @@ def test_afp_worked_examples():
 
 def test_global_oracle_finds_level_set_pair():
     cands = manual_candidates([-1.0, -1.0 / 3.0, 0.2, 1.0], UNIFORM)
-    by_det = global_select_oracle(cands, LAM_01, 2, "Q", "det")
+    by_det = global_select_oracle(cands, LAM_01, 2, "Q")
     assert by_det.pivot_order == (1, 3)
     assert by_det.det_modulus == pytest.approx(1.0, abs=1e-13)
-    by_cond = global_select_oracle(cands, LAM_01, 2, "Q", "cond")
-    assert by_cond.pivot_order == (1, 3)
-    assert by_cond.condition_number == pytest.approx(1.0, abs=1e-13)
-
-
-def test_greedy_reference_cond_objective():
-    cands = manual_candidates([-1.0 / 3.0, 1.0, 0.5, -0.8], UNIFORM)
-    result = greedy_select_reference(cands, LAM_01, 2, "Q", "cond")
-    # singletons all tie at condition number 1; the level-set partner of
-    # -1/3 is the only second point that keeps it there
-    assert result.pivot_order == (0, 1)
-    np.testing.assert_allclose(result.objective_trace, [1.0, 1.0], rtol=1e-12)
+    assert by_det.condition_number == pytest.approx(1.0, abs=1e-13)
 
 
 @pytest.mark.parametrize("family", [UNIFORM, GAUSSIAN])
@@ -268,7 +263,7 @@ def test_qr_path_matches_greedy_reference():
         m_points = int(rng.integers(1, len(prefix) + 1))
         for select, space in ((cfp_select, "Q"), (afp_select, "P")):
             got = select(cands, prefix, m_points)
-            ref = greedy_select_reference(cands, prefix, m_points, space, "det")
+            ref = greedy_select_reference(cands, prefix, m_points, space)
             assert got.pivot_order == ref.pivot_order
             np.testing.assert_allclose(
                 got.objective_trace, ref.objective_trace, rtol=1e-9
@@ -555,12 +550,10 @@ def test_selection_validation():
 def test_reference_and_oracle_guards():
     big = candidate_set(UNIFORM, 1, 2000, 3, 0)
     with pytest.raises(ValueError, match="capped"):
-        greedy_select_reference(big, LAM_01, 2, "Q", "det")
-    with pytest.raises(ValueError, match="objective"):
-        greedy_select_reference(candidate_set(UNIFORM, 1, 10, 1, 0), LAM_01, 2, "Q", "norm")
+        greedy_select_reference(big, LAM_01, 2, "Q")
     wide = candidate_set(UNIFORM, 1, 60, 8, 0)
     with pytest.raises(ValueError, match="oracle guard"):
-        global_select_oracle(wide, total_degree(1, 9), 8, "Q", "det")
+        global_select_oracle(wide, total_degree(1, 9), 8, "Q")
 
 
 def test_design_result_to_json():
@@ -596,7 +589,7 @@ def test_gaussian_example_against_subset_oracle():
     cands = manual_candidates([-1.2, -0.4, 0.1, 0.7, 1.5], GAUSSIAN)
     lam = total_degree(1, 2)
     greedy = cfp_select(cands, lam, 3)
-    exhaustive = global_select_oracle(cands, lam, 3, "Q", "det")
+    exhaustive = global_select_oracle(cands, lam, 3, "Q")
     # greedy is not guaranteed optimal, but it cannot beat the oracle
     assert greedy.det_modulus <= exhaustive.det_modulus + 1e-12
     basis = ProductBasis.for_density(GAUSSIAN, lam)

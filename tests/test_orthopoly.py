@@ -114,8 +114,8 @@ def _oracle_phi(kind: str, n: int, y: Fraction, pis, betas) -> float:
 def test_recurrence_matches_exact_gram_schmidt(density):
     alphas, betas, _ = _oracle_recurrence(density.kind, ORACLE_N_MAX)
     table = recurrence_coefficients(density, ORACLE_N_MAX)
-    # symmetric densities: diagonal terms vanish exactly
-    assert np.all(table.alpha == 0.0)
+    # symmetric densities: diagonal terms vanish exactly, which is why the
+    # table stores no a_n
     assert all(a == 0 for a in alphas)
     # both routes are single correctly-rounded divisions of small integers
     expected = np.array([float(b) for b in betas])
@@ -124,11 +124,11 @@ def test_recurrence_matches_exact_gram_schmidt(density):
 
 def test_recurrence_hand_values():
     uni = recurrence_coefficients(UNIFORM, 3)
-    assert uni.offdiag(1) == 1.0 / 3.0
-    assert uni.offdiag(2) == 4.0 / 15.0
+    assert uni.beta[0] == 1.0 / 3.0
+    assert uni.beta[1] == 4.0 / 15.0
     gau = recurrence_coefficients(GAUSSIAN, 3)
-    assert gau.offdiag(1) == 0.5
-    assert gau.offdiag(3) == 1.5
+    assert gau.beta[0] == 0.5
+    assert gau.beta[2] == 1.5
 
 
 def test_recurrence_validation():
@@ -138,12 +138,12 @@ def test_recurrence_validation():
         DensitySpec("lognormal")
     table = recurrence_coefficients(UNIFORM, 4)
     assert table.n_max == 4
-    with pytest.raises(ValueError):
-        table.offdiag(5)
-    with pytest.raises(ValueError):
-        RecurrenceTable(
-            density=UNIFORM, alpha=np.zeros(3), beta=np.array([0.5, -0.1])
-        )
+    with pytest.raises(ValueError, match="positive"):
+        RecurrenceTable(UNIFORM, np.array([0.5, -0.1]))
+    with pytest.raises(ValueError, match="at least 1"):
+        RecurrenceTable(UNIFORM, np.empty(0))
+    with pytest.raises(ValueError, match="one-dimensional"):
+        RecurrenceTable(UNIFORM, np.full((2, 2), 0.5))
 
 
 @pytest.mark.parametrize("density", FAMILIES, ids=lambda d: d.kind)
@@ -155,6 +155,34 @@ def test_eval_phi_matches_oracle_polynomials(density):
             expected = _oracle_phi(density.kind, n, y, pis, betas)
             got = eval_phi(table, n, float(y))
             assert got == pytest.approx(expected, rel=1e-13, abs=1e-13)
+
+
+def _general_recurrence(beta: np.ndarray, n: int, y) -> np.ndarray:
+    """phi_0 .. phi_n from the general three-term recurrence, with an
+    explicit a_k = 0 subtracted at every step."""
+    alpha = np.zeros(n + 1)
+    sqb = np.sqrt(beta)
+    y = np.asarray(y, dtype=float)
+    out = np.empty((n + 1,) + y.shape)
+    out[0] = 1.0
+    out[1] = (y - alpha[0]) / sqb[0]
+    for k in range(1, n):
+        out[k + 1] = ((y - alpha[k]) * out[k] - sqb[k - 1] * out[k - 1]) / sqb[k]
+    return out
+
+
+@pytest.mark.parametrize("density", FAMILIES, ids=lambda d: d.kind)
+def test_eval_phi_sequence_bit_equals_general_recurrence(density):
+    n = 60
+    table = recurrence_coefficients(density, n)
+    rng = np.random.default_rng(3)
+    y = np.concatenate(([0.0, -0.0, 1.0, -1.0], rng.uniform(-2.5, 2.5, 40)))
+    for point in (y, -0.0, 0.37):
+        got = eval_phi_sequence(table, n, point)
+        expected = _general_recurrence(table.beta, n, point)
+        assert got.shape == expected.shape
+        # tobytes also tells -0.0 from 0.0
+        assert got.tobytes() == expected.tobytes()
 
 
 def test_eval_phi_hand_values():
@@ -220,7 +248,7 @@ def test_christoffel_darboux_identity(density):
             sz = eval_phi_sequence(table, n, z)
             lhs = float(sx[:n] @ sz[:n])
             rhs = (
-                math.sqrt(table.offdiag(n))
+                math.sqrt(table.beta[n - 1])
                 * (sx[n] * sz[n - 1] - sz[n] * sx[n - 1])
                 / (x - z)
             )

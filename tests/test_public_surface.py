@@ -1,21 +1,24 @@
-"""The package's exported names and the names perfbench's tracer wraps.
+"""The package's exported names, the names perfbench's tracer wraps, the
+fields of its value types and the README's library example.
 
 `perfbench/tracer.py` looks up every function it times by module and name,
 so a surface cut that drops one of them breaks `perfbench/run.py --trace 1`.
 The tracer file is only read here, never changed.
 """
 
+import dataclasses
+import re
 from pathlib import Path
 
 import cfpdesign
 import cfpdesign.cli  # noqa: F401  the tracer wraps cfpdesign.cli.main
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
 
-# test oracles and the old matrix wrapper: importable from their modules,
-# not exported from the package
+# test oracles, and the eval_rows alias that only the tracer still wraps:
+# importable from their modules, not exported from the package
 NOT_EXPORTED = (
-    "DesignMatrix",
     "vandermonde",
     "greedy_select_reference",
     "global_select_oracle",
@@ -44,3 +47,18 @@ def test_exported_names_resolve_and_oracles_stay_private():
     for name in NOT_EXPORTED:
         assert name not in cfpdesign.__all__
         assert name not in vars(cfpdesign)
+
+
+def test_value_type_fields():
+    def names(cls):
+        return tuple(field.name for field in dataclasses.fields(cls))
+
+    assert names(cfpdesign.CandidateSet) == ("points", "densities", "degree_hint", "seed")
+    assert names(cfpdesign.RecurrenceTable) == ("density", "beta")
+
+
+def test_readme_library_example_runs():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library\n", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    exec(compile(block, "README.md", "exec"), {"__name__": "readme_example"})
