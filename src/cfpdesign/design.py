@@ -78,8 +78,8 @@ ORACLE_MAX_SUBSETS = 10**6
 class CandidateSet:
     """A finite stand-in for the sample domain.
 
-    points has shape (m_total, d); densities and degree_hint keep enough
-    provenance to rebuild bases and reproduce the draw from seed.
+    points is a read-only copy of the (m_total, d) array passed in; densities
+    and degree_hint keep the provenance to rebuild bases and redraw from seed.
     """
 
     points: np.ndarray
@@ -88,6 +88,7 @@ class CandidateSet:
     seed: int
 
     def __post_init__(self):
+        object.__setattr__(self, "points", np.array(self.points, dtype=float))
         if self.points.ndim != 2:
             raise ValueError("points must have shape (m_total, d)")
         if len(self.densities) != self.points.shape[1]:

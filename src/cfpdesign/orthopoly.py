@@ -71,18 +71,19 @@ class RecurrenceTable:
     """Recurrence coefficients of one orthonormal family.
 
     beta holds b_1 .. b_{n_max}, all positive; a_n = 0 is not stored. The
-    table is immutable: beta is marked read-only on construction.
+    table is immutable: it keeps a read-only copy of the beta passed in.
     """
 
     density: DensitySpec
     beta: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "beta", np.array(self.beta, dtype=float))
         if self.beta.ndim != 1:
             raise ValueError("beta must be one-dimensional")
         if len(self.beta) < 1:
             raise ValueError("table must cover degree at least 1")
-        if np.any(self.beta <= 0.0):
+        if not np.all(self.beta > 0.0):
             raise ValueError("all recurrence weights b_n must be positive")
         self.beta.setflags(write=False)
 
@@ -134,46 +135,48 @@ def eval_phi(table: RecurrenceTable, n: int, y):
     return seq[n]
 
 
-def _jacobi_bands(table: RecurrenceTable, n: int) -> tuple[np.ndarray, np.ndarray]:
+def _jacobi_eigvals(table: RecurrenceTable, n: int, shift: float) -> np.ndarray:
+    """Ascending eigenvalues of the order-n Jacobi matrix, shift added at (n-1, n-1)."""
     if not 1 <= n <= table.n_max:
         raise ValueError(f"order {n} outside tabulated range 1..{table.n_max}")
-    return np.zeros(n), np.sqrt(table.beta[: n - 1])
+    jacobi = np.diag(np.sqrt(table.beta[: n - 1]), -1)  # lower band only
+    jacobi[-1, -1] = shift
+    return np.linalg.eigvalsh(jacobi, UPLO="L")
 
 
 def gauss_rule(table: RecurrenceTable, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the n-point Gauss rule for the tabulated density.
 
     Nodes are the eigenvalues of the order-n Jacobi matrix, in ascending
-    order; weights are the squared first components of its orthonormal
-    eigenvectors and sum to one.
+    order; weights are the Christoffel weights 1 / sum_{k<n} phi_k(z)^2 at
+    the nodes, the formula every level-set rule uses, and sum to one.
     """
-    from scipy.linalg import eigh_tridiagonal  # deferred: ~0.3 s of import
-
-    diag, off = _jacobi_bands(table, n)
-    nodes, vecs = eigh_tridiagonal(diag, off)
-    weights = vecs[0, :] ** 2
-    return nodes, weights
+    nodes = _jacobi_eigvals(table, n, 0.0)
+    seq = eval_phi_sequence(table, n - 1, nodes)
+    return nodes, 1.0 / np.sum(seq * seq, axis=0)
 
 
 def _phi_pair(table: RecurrenceTable, n: int, y: float) -> tuple[float, float]:
     seq = eval_phi_sequence(table, n, float(y))
-    prev = float(seq[n - 1]) if n >= 1 else 0.0
-    return float(seq[n]), prev
+    return float(seq[n]), float(seq[n - 1])
 
-
-def _is_pole(top: float, bottom: float) -> bool:
-    return abs(bottom) < POLE_RTOL * max(1.0, abs(top))
 
 def r_ratio(table: RecurrenceTable, n: int, y: float) -> float:
     """Ratio phi_n(y) / phi_{n-1}(y), an extended real.
 
     Returns math.inf at the poles (the roots of phi_{n-1}); r_n maps into
-    the projective line, so the point at infinity is unsigned.
+    the projective line, so the point at infinity is unsigned. Raises where
+    phi_n(y) or phi_{n-1}(y) is not finite in double precision.
     """
     if not 1 <= n <= table.n_max:
         raise ValueError(f"order {n} outside tabulated range 1..{table.n_max}")
-    top, bottom = _phi_pair(table, n, y)
-    if _is_pole(top, bottom):
+    with np.errstate(over="ignore", invalid="ignore"):
+        top, bottom = _phi_pair(table, n, y)
+    if not (math.isfinite(top) and math.isfinite(bottom)):
+        raise ValueError(
+            f"r_{n}(y) is not finite at y={y!r}: phi_{n} or phi_{n - 1} overflows there"
+        )
+    if abs(bottom) < POLE_RTOL * max(1.0, abs(top)):
         return math.inf
     return top / bottom
 
@@ -184,20 +187,16 @@ def level_set(table: RecurrenceTable, n: int, y: float) -> np.ndarray:
     The set is computed as the eigenvalues of the order-n Jacobi matrix with
     its last diagonal entry shifted by r_n(y) * sqrt(b_n): appending the
     shifted row turns phi_n - r_n(y) phi_{n-1} into the order-n characteristic
-    polynomial. y itself is always a member; a non-finite y raises.
+    polynomial. y itself is always a member; a non-finite y or r_n(y) raises.
     """
     if not math.isfinite(y):
         raise ValueError(f"level set start y must be finite, got {y}")
-    from scipy.linalg import eigh_tridiagonal  # deferred: ~0.3 s of import
-
     c = r_ratio(table, n, y)
     if math.isinf(c):
         raise ValueError(
             f"y={y!r} is a pole of r_{n} (root of phi_{n - 1}); no level set there"
         )
-    diag, off = _jacobi_bands(table, n)
-    diag[-1] += c * math.sqrt(table.beta[n - 1])
-    return eigh_tridiagonal(diag, off, eigvals_only=True)
+    return _jacobi_eigvals(table, n, c * math.sqrt(table.beta[n - 1]))
 
 
 def _poly_roots_bisect(table: RecurrenceTable, n: int) -> np.ndarray:
@@ -253,9 +252,8 @@ def level_set_bisection(table: RecurrenceTable, n: int, y: float) -> np.ndarray:
         raise ValueError(f"y={y!r} is a pole of r_{n}")
 
     def g(z: float) -> float:
-        seq = eval_phi_sequence(table, n, z)
-        prev = float(seq[n - 1]) if n >= 1 else 0.0
-        return float(seq[n]) - c * prev
+        top, bottom = _phi_pair(table, n, z)
+        return top - c * bottom
 
     poles = _poly_roots_bisect(table, n - 1)
     inset = 1e-13

@@ -355,7 +355,7 @@ def verify_oned(family: str, n_max: int) -> list[dict]:
                 others = nodes[np.abs(nodes - y) > 1e-8 * max(1.0, abs(y))]
                 pool = np.concatenate(([y], others, _RECOVERY_MESH[family]))
                 cands = CandidateSet(
-                    points=pool[:, None].copy(),
+                    points=pool[:, None],
                     densities=(density,),
                     degree_hint=n,
                     seed=0,

@@ -1,9 +1,8 @@
 """Import-path tests, each in a fresh interpreter.
 
-scipy is used only by the eigensolves of `gauss_rule` and `level_set`
-(`verify oned`), which import it on first call: the design and study
-paths run on numpy alone and must never load scipy, which costs about
-0.3 s and 20 MB of every cold start.
+numpy is the only runtime dependency: every command must run in an
+interpreter where scipy cannot be imported at all, and a fresh process must
+write the same bytes as a warm one.
 """
 
 import json
@@ -14,11 +13,13 @@ import textwrap
 from pathlib import Path
 
 import pytest
-import scipy.linalg  # noqa: F401  the in-process runs below have scipy loaded
 
 from cfpdesign.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+
+# a None entry in sys.modules makes every later `import scipy...` raise
+NO_SCIPY = 'import sys; sys.modules["scipy"] = None'
 
 
 def _fresh_python(code: str) -> str:
@@ -40,8 +41,9 @@ def _fresh_python(code: str) -> str:
 
 def test_design_and_study_paths_never_load_scipy():
     out = _fresh_python(
-        """
-        import contextlib, io, json, sys
+        f"""
+        {NO_SCIPY}
+        import contextlib, io, json
 
         import cfpdesign.cli as cli
 
@@ -50,6 +52,8 @@ def test_design_and_study_paths_never_load_scipy():
              "--fit", "exp_negsumsq", "-o", "-"],
             ["study", "cond", "--degrees", "2:3", "--trials", "1",
              "--candidates", "200", "-o", "-"],
+            ["study", "approx", "--degrees", "1:2", "--trials", "1",
+             "--candidates", "200", "--validation-samples", "300", "-o", "-"],
             ["study", "elliptic", "--degrees", "1:2", "--trials", "1",
              "--candidates", "200", "--validation-samples", "300", "-o", "-"],
         ]
@@ -57,32 +61,25 @@ def test_design_and_study_paths_never_load_scipy():
         for argv in runs:
             with contextlib.redirect_stdout(io.StringIO()):
                 codes.append(cli.main(argv))
-        scipy_modules = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-        print(json.dumps({"codes": codes, "scipy": scipy_modules}))
+        print(json.dumps(codes))
         """
     )
-    report = json.loads(out)
-    assert report["codes"] == [0, 0, 0]
-    assert report["scipy"] == []
+    assert json.loads(out) == [0, 0, 0, 0]
 
 
 @pytest.mark.parametrize("family", ["uniform", "gaussian"])
-def test_verify_loads_scipy_lazily_with_identical_output(tmp_path, family):
+def test_verify_runs_without_scipy_with_identical_output(tmp_path, family):
     fresh = tmp_path / "fresh.csv"
     warm = tmp_path / "warm.csv"
     argv = ["verify", "oned", "--family", family, "--n-max", "6"]
     out = _fresh_python(
         f"""
-        import json, sys
-
+        {NO_SCIPY}
         import cfpdesign.cli as cli
 
-        before = "scipy" in sys.modules
-        code = cli.main({argv + ["-o", str(fresh)]!r})
-        print(json.dumps({{"before": before, "code": code,
-                           "after": "scipy.linalg" in sys.modules}}))
+        print(cli.main({argv + ["-o", str(fresh)]!r}))
         """
     )
-    assert json.loads(out) == {"before": False, "code": 0, "after": True}
+    assert out == "0\n"
     assert main(argv + ["-o", str(warm)]) == 0
     assert fresh.read_bytes() == warm.read_bytes()

@@ -113,6 +113,12 @@ def test_candidate_points_read_only():
     c = candidate_set(UNIFORM, 1, 10, 1, 0)
     with pytest.raises(ValueError):
         c.points[0, 0] = 0.0
+    points = np.array([[0.1], [0.7]])
+    c = manual_candidates(points, UNIFORM)
+    assert points.flags.writeable
+    assert not c.points.flags.writeable
+    points[0, 0] = 0.5
+    assert c.points[0, 0] == 0.1
 
 
 def test_chebyshev_half_matches_arcsine_law():

@@ -4,15 +4,19 @@ The recurrence coefficients are checked against an independent oracle:
 Gram-Schmidt on monomials in exact Fraction arithmetic, starting from the
 closed-form moments of each density. Everything downstream (evaluation,
 Gauss rules, level sets) is then checked against the oracle polynomials,
-hand-computed examples, and the eigensolve-free bisection route.
+hand-computed examples, numpy's Gauss-Legendre and Gauss-Hermite rules, and
+the eigensolve-free bisection route.
 """
 
 import math
+import re
 import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from numpy.polynomial.hermite import hermgauss
+from numpy.polynomial.legendre import leggauss
 
 from cfpdesign import (
     DensitySpec,
@@ -140,6 +144,8 @@ def test_recurrence_validation():
     assert table.n_max == 4
     with pytest.raises(ValueError, match="positive"):
         RecurrenceTable(UNIFORM, np.array([0.5, -0.1]))
+    with pytest.raises(ValueError, match="positive"):
+        RecurrenceTable(UNIFORM, np.array([math.nan, 0.5]))
     with pytest.raises(ValueError, match="at least 1"):
         RecurrenceTable(UNIFORM, np.empty(0))
     with pytest.raises(ValueError, match="one-dimensional"):
@@ -225,6 +231,25 @@ def test_gauss_rule_hand_values():
     np.testing.assert_allclose(weights, [0.5, 0.5], rtol=1e-14)
 
 
+@pytest.mark.parametrize(
+    ("density", "oracle", "mass"),
+    [(UNIFORM, leggauss, 2.0), (GAUSSIAN, hermgauss, math.sqrt(math.pi))],
+    ids=["uniform", "gaussian"],
+)
+def test_gauss_rule_matches_numpy_oracles(density, oracle, mass):
+    """numpy's Legendre/Hermite rules integrate against dy and exp(-y^2) dy,
+    so their weights carry the total mass 2 and sqrt(pi)."""
+    table = recurrence_coefficients(density, 100)
+    for n in range(1, 101):
+        nodes, weights = gauss_rule(table, n)
+        ref_nodes, ref_weights = oracle(n)
+        ref_weights = ref_weights / mass
+        assert np.all(
+            np.abs(nodes - ref_nodes) <= 1e-12 * np.maximum(1.0, np.abs(ref_nodes))
+        ), n
+        np.testing.assert_allclose(weights, ref_weights, rtol=1e-10, atol=0.0)
+
+
 @pytest.mark.parametrize("density", FAMILIES, ids=lambda d: d.kind)
 def test_orthonormality_under_gauss_quadrature(density):
     n_max = 8
@@ -291,6 +316,16 @@ def test_level_set_rejects_nonfinite_start(y):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="start y must be finite"):
             level_set(table, 3, y)
+
+
+@pytest.mark.parametrize("y", [1e200, -1e155])
+def test_level_set_rejects_start_where_r_n_overflows(y):
+    table = recurrence_coefficients(UNIFORM, 5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        message = re.escape(f"r_5(y) is not finite at y={y!r}")
+        with pytest.raises(ValueError, match=message):
+            level_set(table, 5, y)
 
 
 @pytest.mark.parametrize("density", FAMILIES, ids=lambda d: d.kind)
@@ -383,3 +418,9 @@ def test_tables_are_immutable():
     table = recurrence_coefficients(UNIFORM, 3)
     with pytest.raises(ValueError):
         table.beta[0] = 9.9
+    beta = np.array([0.5, 1.0])
+    table = RecurrenceTable(GAUSSIAN, beta)
+    assert beta.flags.writeable
+    assert not table.beta.flags.writeable
+    beta[0] = 9.9
+    assert table.beta[0] == 0.5
