@@ -15,7 +15,8 @@ are their own shortlist. In exact arithmetic every pick is the one a
 step-by-step loop over all rows makes. Ties within a relative window of
 1e-12 go to the lowest candidate index; in the unit-norm row space the
 first step is an exact mathematical tie, so the window is what keeps the
-choice well defined.
+choice well defined. Equal candidates (-0.0 equal to 0.0) tie the same way,
+so the first occurrence is picked and its copies are left with no residual.
 
 The literal greedy reference and the brute-force subset oracle evaluate
 their determinants from scratch at every step and exist to check the fast
@@ -118,7 +119,8 @@ class DesignResult:
     points are in selection order; pivot_order holds the candidate indices;
     objective_trace holds the running determinant modulus after each step.
     det_modulus and condition_number describe the final selected matrix in
-    the space the selection ran in.
+    the space the selection ran in. points and objective_trace are read-only
+    copies of the arrays passed in.
     """
 
     points: np.ndarray
@@ -131,8 +133,10 @@ class DesignResult:
     config: dict
 
     def __post_init__(self):
-        self.points.setflags(write=False)
-        self.objective_trace.setflags(write=False)
+        for name in ("points", "objective_trace"):
+            copy = np.array(getattr(self, name), dtype=float)
+            copy.setflags(write=False)
+            object.__setattr__(self, name, copy)
 
     def to_json(self) -> dict:
         """JSON-ready dict; an infinite determinant or trace entry (beyond the
@@ -217,28 +221,6 @@ def candidate_set(
     )
 
 
-def _unique_rows(points: np.ndarray) -> np.ndarray:
-    """Indices of first occurrences, in original order; -0.0 equals 0.0.
-
-    One argsort of the first coordinate settles every row whose value there
-    is unmatched. Only rows that tie with another there are lexsorted on all
-    coordinates, in index order, so the stable sort puts each first
-    occurrence at the head of its run of equal rows.
-    """
-    order = np.argsort(points[:, 0])
-    first = points[order, 0]
-    same = first[1:] == first[:-1]
-    tied = np.zeros(len(order), dtype=bool)
-    tied[1:] = same
-    tied[:-1] |= same
-    group = np.sort(order[tied])
-    ranked_order = np.lexsort(points[group].T[::-1])
-    ranked = points[group[ranked_order]]
-    leads = np.ones(len(group), dtype=bool)
-    leads[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
-    return np.sort(np.concatenate([order[~tied], group[ranked_order[leads]]]))
-
-
 def _window_pick(sq: np.ndarray) -> tuple[int, float]:
     """(pick, window floor): the pick is the lowest index whose square is
     within the tie window of the largest."""
@@ -274,9 +256,10 @@ def _greedy_pivot_qr(v: np.ndarray, m_points: int) -> tuple[np.ndarray, np.ndarr
     as a bound on every other row: squares never increase, so while the
     next pick's tie window lies above that bound no other row can be
     picked or tie, and each step runs on the shortlist alone. When the
-    bound is reached, one product per row block downdates every square by
-    the block's directions, in step order, before the cancellation test
-    runs on all rows. Rows that fit in L2 (at most SHORTLIST_MIN_VALUES
+    bound is reached, one product per row block gives every row's
+    components along the block's directions, and one subtraction per row
+    downdates its square by their sum of squares, before the cancellation
+    test runs on all rows. Rows that fit in L2 (at most SHORTLIST_MIN_VALUES
     values), and row sets no longer than a shortlist, are their own
     shortlist, as views: their one block is the whole selection. The
     picks follow the downdated squares; the rank test and the trace read
@@ -338,10 +321,8 @@ def _greedy_pivot_qr(v: np.ndarray, m_points: int) -> tuple[np.ndarray, np.ndarr
             _recompute_low(vs, sqs, floors, q[:k], low[: len(vs)])
         # block end: the rows outside the shortlist catch up on its directions
         for blk in _row_blocks(len(v), k - start):
-            cb = np.square(v[blk] @ q[start:k].T)
-            sq_blk = sq[blk]
-            for t in range(k - start):
-                sq_blk -= cb[:, t]
+            cb = v[blk] @ q[start:k].T
+            sq[blk] -= np.einsum("ij,ij->i", cb, cb)
         sq[rows] = sqs
         floor[rows] = floors
         _recompute_low(v, sq, floor, q[:k], low)
@@ -352,10 +333,13 @@ def _selection_rows(
     index_set: MultiIndexSet,
     m_points: int,
     space: str,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(indices of the distinct candidates, their rows in space) for a
-    selection of m_points; raises ValueError when that many cannot be
-    picked."""
+) -> np.ndarray:
+    """Rows of every candidate, in the given order, in space for a
+    selection of m_points; raises ValueError when the basis or the
+    candidate list is too small. Equal candidates are not merged: their
+    rows tie, the lowest index wins the tie, and once it is picked the
+    others have no residual, so fewer distinct candidates than m_points
+    raise the pivot loop's RankDeficientError."""
     if index_set.dimension != candidates.dimension:
         raise ValueError("index set and candidates disagree on dimension")
     if m_points < 1:
@@ -364,13 +348,10 @@ def _selection_rows(
         raise ValueError(
             f"cannot select {m_points} points in a basis of size {len(index_set)}"
         )
-    unique = _unique_rows(candidates.points)
-    if m_points > len(unique):
-        raise ValueError(
-            f"only {len(unique)} distinct candidates for {m_points} points"
-        )
+    if m_points > len(candidates):
+        raise ValueError(f"only {len(candidates)} candidates for {m_points} points")
     basis = ProductBasis.for_density(candidates.densities, index_set)
-    return unique, eval_rows(basis, candidates.points[unique], space)
+    return eval_rows(basis, candidates.points, space)
 
 
 def _design_result(
@@ -380,14 +361,12 @@ def _design_result(
     pivots: np.ndarray,
     selected: np.ndarray,
     trace: np.ndarray,
-    **extra,
 ) -> DesignResult:
     """DesignResult for pivots into the candidate list; selected holds their
-    rows, and m_points <= N, so both diagnostics come from one SVD. extra
-    is appended to the config."""
+    rows, and m_points <= N, so both diagnostics come from one SVD."""
     sigma = np.linalg.svd(selected, compute_uv=False)
     return DesignResult(
-        points=candidates.points[pivots].copy(),
+        points=candidates.points[pivots],
         pivot_order=tuple(int(i) for i in pivots),
         objective_trace=trace,
         det_modulus=_det_from_singular(sigma),
@@ -400,7 +379,6 @@ def _design_result(
             "m_candidates": len(candidates),
             "degree_hint": candidates.degree_hint,
             "densities": [rho.kind for rho in candidates.densities],
-            **extra,
         },
     )
 
@@ -411,9 +389,9 @@ def _qr_select(
     m_points: int,
     space: str,
 ) -> DesignResult:
-    unique, v = _selection_rows(candidates, index_set, m_points, space)
-    local, trace = _greedy_pivot_qr(v, m_points)
-    return _design_result(candidates, index_set, space, unique[local], v[local], trace)
+    v = _selection_rows(candidates, index_set, m_points, space)
+    pivots, trace = _greedy_pivot_qr(v, m_points)
+    return _design_result(candidates, index_set, space, pivots, v[pivots], trace)
 
 
 def cfp_select(
@@ -461,10 +439,10 @@ def greedy_select_reference(
         raise ValueError(
             f"reference selection capped at {REFERENCE_MAX_CANDIDATES} candidates"
         )
-    unique, v = _selection_rows(candidates, index_set, m_points, space)
+    v = _selection_rows(candidates, index_set, m_points, space)
 
     chosen: list[int] = []
-    remaining = list(range(len(unique)))
+    remaining = list(range(len(v)))
     trace = np.empty(m_points)
     for k in range(m_points):
         values = np.array([_log_det_modulus(v[chosen + [i]]) for i in remaining])
@@ -474,13 +452,10 @@ def greedy_select_reference(
         # absolute window in log space is a relative window on the det; the
         # lowest candidate index inside it wins
         tied = np.flatnonzero(values >= best - TIE_RTOL)
-        chosen.append(remaining.pop(int(tied[np.argmin(unique[remaining][tied])])))
+        chosen.append(remaining.pop(int(tied[0])))
         trace[k] = det_modulus(v[chosen])
 
-    return _design_result(
-        candidates, index_set, space, unique[chosen], v[chosen], trace,
-        reference=True,
-    )
+    return _design_result(candidates, index_set, space, chosen, v[chosen], trace)
 
 
 def global_select_oracle(
@@ -495,14 +470,14 @@ def global_select_oracle(
     Ties keep the first subset in index order. Guarded to at most 1e6
     subsets; strictly a test oracle.
     """
-    unique, v = _selection_rows(candidates, index_set, m_points, space)
-    n_subsets = math.comb(len(unique), m_points)
+    v = _selection_rows(candidates, index_set, m_points, space)
+    n_subsets = math.comb(len(v), m_points)
     if n_subsets > ORACLE_MAX_SUBSETS:
         raise ValueError(f"{n_subsets} subsets exceed the oracle guard")
 
     best_combo = None
     best_value = -math.inf
-    for combo in itertools.combinations(range(len(unique)), m_points):
+    for combo in itertools.combinations(range(len(v)), m_points):
         value = _log_det_modulus(v[list(combo)])
         if value > best_value:
             best_value = value
@@ -512,7 +487,4 @@ def global_select_oracle(
 
     chosen = list(best_combo)
     trace = np.array([det_modulus(v[chosen[: k + 1]]) for k in range(m_points)])
-    return _design_result(
-        candidates, index_set, space, unique[chosen], v[chosen], trace,
-        oracle=True,
-    )
+    return _design_result(candidates, index_set, space, chosen, v[chosen], trace)

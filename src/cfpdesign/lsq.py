@@ -28,12 +28,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Surrogate:
-    """Coefficients of a polynomial surrogate in a product basis."""
+    """Coefficients of a polynomial surrogate in a product basis; coefficients
+    is a read-only copy of the array passed in."""
 
     basis: ProductBasis
     coefficients: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(
+            self, "coefficients", np.array(self.coefficients, dtype=float)
+        )
         if self.coefficients.shape != (len(self.basis.index_set),):
             raise ValueError("one coefficient per basis function required")
         self.coefficients.setflags(write=False)
@@ -50,10 +54,7 @@ class Surrogate:
         index_set = MultiIndexSet.from_json(data["index_set"])
         densities = tuple(DensitySpec(k) for k in data["densities"])
         basis = ProductBasis.for_density(densities, index_set)
-        return cls(
-            basis=basis,
-            coefficients=np.asarray(data["coefficients"], dtype=float),
-        )
+        return cls(basis=basis, coefficients=data["coefficients"])
 
 
 def _lstsq(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:

@@ -8,7 +8,8 @@ use (there the loop picks in blocks from 1024-row shortlists; a built case
 has a row outside the shortlist overtake it, clustered candidates test the
 cancellation recompute and the trace's digits, and a rank-deficient curve
 tests the rank floor under several shortlist sizes), and the brute-force
-subset oracle on cases small enough to enumerate.
+subset oracle on cases small enough to enumerate. Repeated candidates are
+checked against selection on the distinct ones.
 Hypothesis properties cover the Hadamard-bounded trace and invariance under
 candidate permutations. Ensemble draws are checked against their target
 laws by KS statistics frozen for fixed seeds, plus an in-test rejection
@@ -25,6 +26,7 @@ from scipy import stats
 
 from cfpdesign import (
     CandidateSet,
+    DesignResult,
     DensitySpec,
     MultiIndexSet,
     ProductBasis,
@@ -44,7 +46,6 @@ from cfpdesign.design import (
     SHORTLIST_MIN_VALUES,
     SHORTLIST_ROWS,
     _greedy_pivot_qr,
-    _unique_rows,
     global_select_oracle,
     greedy_select_reference,
 )
@@ -297,11 +298,9 @@ def _explicit_residual_greedy(v, m_points):
     return chosen, gaps
 
 
-def _distinct_rows(candidates, index_set, space):
-    _, first = np.unique(candidates.points, axis=0, return_index=True)
-    unique = np.sort(first)
+def _rows(candidates, index_set, space):
     basis = ProductBasis.for_density(candidates.densities, index_set)
-    return unique, eval_rows(basis, candidates.points[unique], space)
+    return eval_rows(basis, candidates.points, space)
 
 
 @pytest.mark.parametrize(
@@ -314,9 +313,9 @@ def test_selection_matches_explicit_residual_greedy_at_study_scale(
     lam = total_degree(dimension, degree)
     cands = candidate_set(density, dimension, 10_000, degree, 3)
     got = select(cands, lam, len(lam))
-    unique, v = _distinct_rows(cands, lam, space)
+    v = _rows(cands, lam, space)
     chosen, _ = _explicit_residual_greedy(v, len(lam))
-    assert got.pivot_order == tuple(int(i) for i in unique[chosen])
+    assert got.pivot_order == tuple(chosen)
     expected = [
         np.prod(np.linalg.svd(v[chosen[: k + 1]], compute_uv=False))
         for k in range(len(lam))
@@ -341,12 +340,12 @@ def test_clustered_candidates_match_explicit_residual_greedy(select, space):
     lam = total_degree(1, 59)
     assert len(cands) * len(lam) > SHORTLIST_MIN_VALUES
     got = select(cands, lam, len(lam))
-    unique, v = _distinct_rows(cands, lam, space)
+    v = _rows(cands, lam, space)
     if space == "P":
         chosen, gaps = _explicit_residual_greedy(v, len(lam))
         assert min(gaps) > 1e-9
-        assert got.pivot_order == tuple(int(i) for i in unique[chosen])
-    rows = v[np.searchsorted(unique, got.pivot_order)]
+        assert got.pivot_order == tuple(chosen)
+    rows = v[list(got.pivot_order)]
     expected = [
         np.prod(np.linalg.svd(rows[: k + 1], compute_uv=False))
         for k in range(len(lam))
@@ -371,11 +370,11 @@ def test_shortlist_blocks_match_explicit_residual_greedy(
     unit norm across all 10k rows, so the window pick must be in it."""
     lam = rule(dimension, degree)
     cands = candidate_set(density, dimension, 10_000, degree, 5)
-    unique, v = _distinct_rows(cands, lam, space)
+    v = _rows(cands, lam, space)
     assert len(v) > SHORTLIST_ROWS and v.size > SHORTLIST_MIN_VALUES
     got = select(cands, lam, len(lam))
     chosen, _ = _explicit_residual_greedy(v, len(lam))
-    assert got.pivot_order == tuple(int(i) for i in unique[chosen])
+    assert got.pivot_order == tuple(chosen)
 
 
 def test_row_outside_the_shortlist_overtakes_it():
@@ -440,7 +439,7 @@ def test_selected_set_is_invariant_under_candidate_permutation(problem, seed, sp
     their order. Candidate 0 stays first, so the unit-norm tie at the first
     Q step goes to the same point under both orders."""
     cands, lam, m_points = problem
-    _, v = _distinct_rows(cands, lam, space)
+    v = _rows(cands, lam, space)
     gaps = _explicit_residual_greedy(v, m_points)[1]
     assume(min(gaps[1:] if space == "Q" else gaps, default=1.0) > 1e-6)
     perm = np.r_[0, 1 + np.random.default_rng(seed).permutation(len(cands) - 1)]
@@ -478,42 +477,86 @@ def test_duplicate_candidates_are_ignored():
     assert len(set(result.pivot_order)) == 3
 
 
-def _first_occurrences(points):
-    _, first = np.unique(points, axis=0, return_index=True)
-    return np.sort(first)
-
-
 _DRAW = candidate_set(UNIFORM, 2, 10_000, 15, seed=9).points
-_DEDUP_CASES = {
-    "later-duplicates": [[0.1, 0.2], [0.3, 0.4], [0.1, 0.2], [0.5, 0.6], [0.3, 0.4]],
-    "signed-zeros": [[0.0, 1.0], [-0.0, 1.0], [1.0, -0.0], [1.0, 0.0], [-0.0, -0.0]],
-    "one-row": [[0.7, -0.2]],
-    "all-equal": [[0.25, -0.5]] * 6,
-    "d1": [[0.3], [-0.1], [0.3], [-0.0], [0.0], [-0.1], [0.9]],
-    "d4": np.vstack([np.eye(4), np.eye(4)[::-1], -np.eye(4)]),
-    "draw-10k-plus-50-copies": np.vstack([_DRAW, _DRAW[:50]]),
-    # rows that tie in column 0 but are apart after a sort on it alone
-    "interleaved-tie-group": [[0.5, 1], [0.5, 2], [0.5, 1], [0.5, 3], [0.5, 2]],
+_X_ONLY = MultiIndexSet(2, ((0, 0), (1, 0), (2, 0)))
+_Y_ONLY = MultiIndexSet(2, ((0, 0), (0, 1), (0, 2)))
+_CONSTANT = MultiIndexSet(2, ((0, 0),))
+# each case's index set is unisolvent on its distinct rows
+_REPEAT_CASES = {
+    # the distinct rows are collinear, along y = x + 0.1
+    "later-duplicates": (
+        [[0.1, 0.2], [0.3, 0.4], [0.1, 0.2], [0.5, 0.6], [0.3, 0.4]],
+        _X_ONLY,
+    ),
+    "signed-zeros": (
+        [[0.0, 1.0], [-0.0, 1.0], [1.0, -0.0], [1.0, 0.0], [-0.0, -0.0]],
+        total_degree(2, 1),
+    ),
+    "one-row": ([[0.7, -0.2]], _CONSTANT),
+    "all-equal": ([[0.25, -0.5]] * 6, _CONSTANT),
+    "d1": ([[0.3], [-0.1], [0.3], [-0.0], [0.0], [-0.1], [0.9]], total_degree(1, 3)),
+    "d4": (np.vstack([np.eye(4), np.eye(4)[::-1], -np.eye(4)]), total_degree(4, 1)),
+    # above the shortlist gate
+    "draw-10k-plus-50-copies": (np.vstack([_DRAW, _DRAW[:50]]), total_degree(2, 10)),
+    "interleaved-tie-group": (
+        [[0.5, 1], [0.5, 2], [0.5, 1], [0.5, 3], [0.5, 2]],
+        _Y_ONLY,
+    ),
     # duplicates among rows that agree in column 0, and rows that agree
-    # everywhere else but not in column 0
-    "d4-ties-in-column-0": [
-        [0.5, 0.1, 0.2, 0.3],
-        [0.5, 0.1, 0.2, 0.4],
-        [-0.2, 0.1, 0.2, 0.3],
-        [0.5, 0.1, 0.2, 0.3],
-        [0.5, 0.1, 0.9, 0.3],
-        [0.5, 0.1, 0.2, 0.4],
-        [-0.0, 0.1, 0.2, 0.3],
-    ],
-    # thousands of column-0 ties, many of them duplicated rows
-    "draw-10k-rounded": np.round(_DRAW, 2),
+    # everywhere else but not in column 0 (0.0 and -0.0 among them);
+    # column 1 is constant, so the index set leaves it out
+    "d4-ties-in-column-0": (
+        [
+            [0.5, 0.1, 0.2, 0.3],
+            [0.5, 0.1, 0.2, 0.4],
+            [-0.2, 0.1, 0.2, 0.3],
+            [0.5, 0.1, 0.2, 0.3],
+            [0.5, 0.1, 0.9, 0.3],
+            [0.5, 0.1, 0.2, 0.4],
+            [-0.0, 0.1, 0.2, 0.3],
+        ],
+        MultiIndexSet(
+            4, ((0, 0, 0, 0), (1, 0, 0, 0), (2, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+        ),
+    ),
+    # the draw on a 0.01 grid: 1174 rows repeat, up to 9 times
+    "draw-10k-rounded": (np.round(_DRAW, 2), total_degree(2, 10)),
 }
 
 
-@pytest.mark.parametrize("case", _DEDUP_CASES)
-def test_unique_rows_match_np_unique(case):
-    points = np.asarray(_DEDUP_CASES[case], dtype=float)
-    np.testing.assert_array_equal(_unique_rows(points), _first_occurrences(points))
+@pytest.mark.parametrize("case", _REPEAT_CASES)
+@pytest.mark.parametrize("select", [cfp_select, afp_select])
+def test_repeated_candidates_resolve_to_first_occurrences(select, case):
+    """Selecting among repeated candidates picks what selecting among the
+    distinct ones picks, each pivot at the first occurrence of its row
+    (-0.0 equal to 0.0), and never a second copy."""
+    points, lam = _REPEAT_CASES[case]
+    points = np.asarray(points, dtype=float)
+    _, first = np.unique(points, axis=0, return_index=True)
+    first = np.sort(first)
+    m_points = len(lam)
+    distinct = select(manual_candidates(points[first], UNIFORM), lam, m_points)
+    got = select(manual_candidates(points, UNIFORM), lam, m_points)
+    assert got.pivot_order == tuple(int(i) for i in first[list(distinct.pivot_order)])
+    np.testing.assert_array_equal(got.objective_trace, distinct.objective_trace)
+
+
+@pytest.mark.parametrize(
+    "distinct,copies,degree",
+    [([-0.5, 0.3, 0.9], 2, 4), (np.linspace(-0.9, 0.9, 30), 400, 39)],
+    ids=["3-distinct-of-6", "30-distinct-of-12000"],
+)
+@pytest.mark.parametrize("select", [cfp_select, afp_select])
+def test_too_few_distinct_candidates_raise(select, distinct, copies, degree):
+    """Copies of picked rows have no residual, so the rank runs out at the
+    distinct count; 400 copies of 30 points are above the shortlist gate."""
+    cands = manual_candidates(np.tile(distinct, copies), UNIFORM)
+    lam = total_degree(1, degree)
+    m_points = len(distinct) + 1
+    with pytest.raises(
+        RankDeficientError, match=f"rank {len(distinct)} before {m_points} pivots"
+    ):
+        select(cands, lam, m_points)
 
 
 def test_rank_deficient_candidates_raise():
@@ -545,7 +588,7 @@ def test_selection_validation():
     cands = manual_candidates([-0.5, 0.3, 0.9, -0.1], UNIFORM)
     with pytest.raises(ValueError, match="cannot select"):
         cfp_select(cands, LAM_01, 3)
-    with pytest.raises(ValueError, match="only 4 distinct"):
+    with pytest.raises(ValueError, match="only 4 candidates for 5 points"):
         cfp_select(cands, total_degree(1, 9), 5)
     with pytest.raises(ValueError):
         cfp_select(cands, LAM_01, 0)
@@ -589,6 +632,16 @@ def test_result_arrays_read_only():
         result.points[0, 0] = 9.9
     with pytest.raises(ValueError):
         result.objective_trace[0] = 9.9
+    # the result freezes copies, not the caller's arrays
+    points = np.array([[0.1], [0.7]])
+    trace = np.array([1.0, 0.5])
+    result = DesignResult(points, (0, 1), trace, 0.5, 2.0, "Q", None, {})
+    assert points.flags.writeable and trace.flags.writeable
+    assert not result.points.flags.writeable
+    assert not result.objective_trace.flags.writeable
+    points[0, 0] = 0.5
+    trace[0] = 9.9
+    assert result.points[0, 0] == 0.1 and result.objective_trace[0] == 1.0
 
 
 def test_gaussian_example_against_subset_oracle():

@@ -180,9 +180,14 @@ def test_surrogate_validates_coefficient_count():
     basis = ProductBasis.for_density(UNIFORM, lam)
     with pytest.raises(ValueError):
         Surrogate(basis=basis, coefficients=np.zeros(2))
-    fit = Surrogate(basis=basis, coefficients=np.zeros(3))
+    coefficients = np.zeros(3)
+    fit = Surrogate(basis=basis, coefficients=coefficients)
     with pytest.raises(ValueError):
         fit.coefficients[0] = 1.0
+    # the surrogate freezes a copy, not the caller's array
+    assert coefficients.flags.writeable
+    coefficients[0] = 1.0
+    assert fit.coefficients[0] == 0.0
 
 
 def test_weighted_and_plain_agree_in_exact_arithmetic_case():
