@@ -19,6 +19,7 @@ from .multiindex import MultiIndexSet
 from .orthopoly import (
     DensitySpec,
     RecurrenceTable,
+    _per_coordinate,
     eval_phi_sequence,
     recurrence_coefficients,
 )
@@ -81,13 +82,7 @@ class ProductBasis:
         index_set: MultiIndexSet,
     ) -> "ProductBasis":
         """Build tables sized exactly to the index set's per-coordinate degrees."""
-        d = index_set.dimension
-        if isinstance(density, DensitySpec):
-            densities = (density,) * d
-        else:
-            densities = tuple(density)
-        if len(densities) != d:
-            raise ValueError("one density per coordinate required")
+        densities = _per_coordinate(density, index_set.dimension)
         degrees = index_set.degrees_by_coordinate()
         tables = tuple(
             recurrence_coefficients(rho, max(1, deg))
@@ -200,7 +195,27 @@ def _as_matrix(matrix) -> np.ndarray:
     vals = np.asarray(matrix, dtype=float)
     if vals.ndim != 2:
         raise ValueError(f"matrix must be two-dimensional, got shape {vals.shape}")
+    finite = np.isfinite(vals)
+    if not finite.all():
+        i, j = (int(x) for x in np.argwhere(~finite)[0])
+        raise ValueError(f"matrix entry ({i}, {j}) is {vals[i, j]}, not finite")
     return vals
+
+
+def _det_and_cond(rows: np.ndarray) -> tuple[float, float]:
+    """(det_modulus, condition_number) of a finite matrix, from one SVD."""
+    sigma = np.linalg.svd(rows, compute_uv=False)
+    with np.errstate(divide="ignore"):
+        logs = np.log(sigma)
+    # sigma is descending, so np.prod's running product peaks at the
+    # product of the singular values above 1
+    if float(np.sum(logs[logs > 0.0])) < LOG_FLOAT_MAX:
+        det = float(np.prod(sigma))
+    else:
+        log_det = float(np.sum(logs))
+        det = math.exp(log_det) if log_det < LOG_FLOAT_MAX else math.inf
+    smin = float(sigma[-1]) if sigma.size else 0.0  # no rows: singular
+    return det, math.inf if smin < SINGULAR_FLOOR else float(sigma[0]) / smin
 
 
 def det_modulus(matrix) -> float:
@@ -209,35 +224,17 @@ def det_modulus(matrix) -> float:
     Computed as the product of singular values; for square V this is |det V|.
     A product beyond the float range returns math.inf without a floating
     point warning; one whose running product would overflow but whose value
-    fits is taken as exp of the summed logarithms.
+    fits is taken as exp of the summed logarithms. A non-finite entry raises
+    ValueError naming it.
     """
     vals = _as_matrix(matrix)
     m, n = vals.shape
     if m > n:
         raise ValueError(f"determinant modulus needs m <= N, got {m} x {n}")
-    return _det_from_singular(np.linalg.svd(vals, compute_uv=False))
+    return _det_and_cond(vals)[0]
 
 
 def condition_number(matrix) -> float:
-    """Ratio of extreme singular values; +inf when numerically singular."""
-    return _cond_from_singular(np.linalg.svd(_as_matrix(matrix), compute_uv=False))
-
-
-def _det_from_singular(sigma: np.ndarray) -> float:
-    """det_modulus from descending singular values."""
-    with np.errstate(divide="ignore"):
-        logs = np.log(sigma)
-    # sigma is descending, so np.prod's running product peaks at the
-    # product of the singular values above 1
-    if float(np.sum(logs[logs > 0.0])) < LOG_FLOAT_MAX:
-        return float(np.prod(sigma))
-    log_det = float(np.sum(logs))
-    return math.exp(log_det) if log_det < LOG_FLOAT_MAX else math.inf
-
-
-def _cond_from_singular(sigma: np.ndarray) -> float:
-    """condition_number from descending singular values."""
-    smin = float(sigma[-1])
-    if smin < SINGULAR_FLOOR:
-        return math.inf
-    return float(sigma[0]) / smin
+    """Ratio of extreme singular values; +inf when numerically singular. A
+    non-finite entry raises ValueError naming it."""
+    return _det_and_cond(_as_matrix(matrix))[1]

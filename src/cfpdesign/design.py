@@ -36,14 +36,13 @@ import numpy as np
 from .basis import (
     ProductBasis,
     RankDeficientError,
-    _cond_from_singular,
-    _det_from_singular,
+    _det_and_cond,
     _row_blocks,
     det_modulus,
     eval_rows,
 )
 from .multiindex import MultiIndexSet
-from .orthopoly import GAUSSIAN, UNIFORM, DensitySpec, sample_density
+from .orthopoly import UNIFORM, DensitySpec, _per_coordinate, _sample_points
 
 __all__ = [
     "CandidateSet",
@@ -182,12 +181,7 @@ def candidate_set(
     two halves use sub-seeds split from `seed`, so either half is
     reproducible on its own.
     """
-    if isinstance(density, DensitySpec):
-        densities = (density,) * dimension
-    else:
-        densities = tuple(density)
-    if len(densities) != dimension:
-        raise ValueError("one density per coordinate required")
+    densities = _per_coordinate(density, dimension)
     if m_total < 2 or m_total % 2 != 0:
         raise ValueError("m_total must be even and at least 2")
     if degree_hint < 1:
@@ -205,9 +199,7 @@ def candidate_set(
     rng_iid = np.random.default_rng(np.random.SeedSequence([seed, 0]))
     rng_asym = np.random.default_rng(np.random.SeedSequence([seed, 1]))
 
-    iid = np.column_stack(
-        [sample_density(rho, rng_iid, half) for rho in densities]
-    )
+    iid = _sample_points(densities, rng_iid, half)
     if kinds == {UNIFORM}:
         asym = np.cos(np.pi * rng_asym.random((half, dimension)))
     else:
@@ -364,13 +356,13 @@ def _design_result(
 ) -> DesignResult:
     """DesignResult for pivots into the candidate list; selected holds their
     rows, and m_points <= N, so both diagnostics come from one SVD."""
-    sigma = np.linalg.svd(selected, compute_uv=False)
+    det, cond = _det_and_cond(selected)
     return DesignResult(
         points=candidates.points[pivots],
         pivot_order=tuple(int(i) for i in pivots),
         objective_trace=trace,
-        det_modulus=_det_from_singular(sigma),
-        condition_number=_cond_from_singular(sigma),
+        det_modulus=det,
+        condition_number=cond,
         space=space,
         seed=candidates.seed,
         config={
@@ -417,8 +409,11 @@ def afp_select(
 
 
 def _log_det_modulus(rows: np.ndarray) -> float:
+    """Log of the determinant modulus; -inf when the rows are rank deficient,
+    with their smallest singular value at most 1e-12 of their largest, the
+    relative floor of the fast path's rank test."""
     sigma = np.linalg.svd(rows, compute_uv=False)
-    if np.any(sigma <= 0.0):
+    if sigma[-1] <= 1e-12 * sigma[0]:
         return -math.inf
     return float(np.sum(np.log(sigma)))
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .basis import ProductBasis, RankDeficientError, _rows_and_sums, eval_rows
 from .multiindex import MultiIndexSet
-from .orthopoly import DensitySpec, sample_density
+from .orthopoly import DensitySpec, _sample_points
 
 __all__ = [
     "Surrogate",
@@ -112,9 +112,6 @@ def validation_error(
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 2]))
-    cols = [
-        sample_density(rho, rng, n_samples) for rho in surrogate.basis.densities
-    ]
-    z = np.column_stack(cols)
+    z = _sample_points(surrogate.basis.densities, rng, n_samples)
     residual = np.asarray(target(z), dtype=float) - eval_surrogate(surrogate, z)
     return float(np.sqrt(np.mean(residual * residual)))

@@ -3,17 +3,19 @@
 Sets are ordered: graded first by total degree, then reverse lexicographic
 within each grade (alpha precedes beta when the last nonzero entry of
 alpha - beta is negative). The ordering is part of the value; enrichment
-appends to an existing set without re-sorting it.
+appends to an existing set without re-sorting it. One enumerator, _grade,
+yields each grade in this order; every set is built from its grades, so
+none is sorted after the fact.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
 __all__ = [
     "MultiIndexSet",
-    "grevlex_key",
     "total_degree",
     "hyperbolic_cross",
     "is_downward_closed",
@@ -21,11 +23,6 @@ __all__ = [
 ]
 
 MAX_SET_SIZE = 10**7
-
-
-def grevlex_key(alpha: tuple[int, ...]):
-    """Sort key realizing the graded reverse-lexicographic order."""
-    return (sum(alpha), tuple(reversed(alpha)))
 
 
 @dataclass(frozen=True)
@@ -84,13 +81,22 @@ class MultiIndexSet:
         )
 
 
-def _grade(d: int, g: int):
-    """The multi-indices of total degree g, in grevlex order."""
+def _grade(d: int, g: int, budget: int | None = None):
+    """The multi-indices of total degree g, in grevlex order; with a budget,
+    only those with prod(alpha_j + 1) <= budget.
+
+    The smallest such product in grade g is g + 1, with all of g in one
+    coordinate, so a grade with g >= budget is empty and returns at once;
+    every call that goes on yields at least that index.
+    """
+    if budget is not None and g >= budget:
+        return
     if d == 1:
         yield (g,)
         return
     for last in range(g + 1):
-        for head in _grade(d - 1, g - last):
+        rest = None if budget is None else budget // (last + 1)
+        for head in _grade(d - 1, g - last, rest):
             yield head + (last,)
 
 
@@ -107,27 +113,21 @@ def total_degree(dimension: int, degree: int) -> MultiIndexSet:
     )
 
 
-def _hc_recurse(d: int, budget: int, out: list, prefix: tuple[int, ...]):
-    if d == 1:
-        for i in range(budget):
-            out.append(prefix + (i,))
-            if len(out) > MAX_SET_SIZE:
-                raise ValueError("hyperbolic-cross set exceeds the size guard")
-        return
-    v = 0
-    while v + 1 <= budget:
-        _hc_recurse(d - 1, budget // (v + 1), out, prefix + (v,))
-        v += 1
-
-
 def hyperbolic_cross(dimension: int, degree: int) -> MultiIndexSet:
-    """All alpha with prod(alpha_j + 1) <= degree + 1, grevlex-ordered."""
+    """All alpha with prod(alpha_j + 1) <= degree + 1, grevlex-ordered.
+
+    Grades 0..degree come from _grade with the budget degree + 1, so the
+    indices arrive in order; more than MAX_SET_SIZE of them raise.
+    """
     if dimension < 1 or degree < 0:
         raise ValueError("need dimension >= 1 and degree >= 0")
-    out: list[tuple[int, ...]] = []
-    _hc_recurse(dimension, degree + 1, out, ())
-    out.sort(key=grevlex_key)
-    return MultiIndexSet(dimension, tuple(out))
+    grades = itertools.chain.from_iterable(
+        _grade(dimension, g, degree + 1) for g in range(degree + 1)
+    )
+    indices = tuple(itertools.islice(grades, MAX_SET_SIZE + 1))
+    if len(indices) > MAX_SET_SIZE:
+        raise ValueError("hyperbolic-cross set exceeds the size guard")
+    return MultiIndexSet(dimension, indices)
 
 
 def is_downward_closed(index_set: MultiIndexSet) -> bool:

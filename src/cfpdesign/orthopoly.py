@@ -23,8 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "UNIFORM",
-    "GAUSSIAN",
     "DensitySpec",
     "RecurrenceTable",
     "recurrence_coefficients",
@@ -64,6 +62,15 @@ class DensitySpec:
     @classmethod
     def gaussian(cls) -> "DensitySpec":
         return cls(GAUSSIAN)
+
+
+def _per_coordinate(density, d: int) -> tuple[DensitySpec, ...]:
+    """One density per coordinate: a single density repeated d times, or a
+    sequence of d densities."""
+    densities = (density,) * d if isinstance(density, DensitySpec) else tuple(density)
+    if len(densities) != d:
+        raise ValueError("one density per coordinate required")
+    return densities
 
 
 @dataclass(frozen=True)
@@ -323,3 +330,9 @@ def sample_density(density: DensitySpec, rng: np.random.Generator, size) -> np.n
     if density.kind == UNIFORM:
         return rng.uniform(-1.0, 1.0, size)
     return rng.normal(0.0, math.sqrt(0.5), size)
+
+
+def _sample_points(densities, rng: np.random.Generator, n: int) -> np.ndarray:
+    """(n, d) iid product draws, one column per density, drawn column by
+    column from rng."""
+    return np.column_stack([sample_density(rho, rng, n) for rho in densities])

@@ -18,8 +18,7 @@ import numpy as np
 from . import __version__
 from .basis import (
     ProductBasis,
-    _cond_from_singular,
-    _det_from_singular,
+    _det_and_cond,
     _rows_and_sums,
     condition_number,
     eval_rows,
@@ -36,16 +35,18 @@ from .lsq import solve_unweighted, solve_weighted, validation_error
 from .multiindex import MultiIndexSet, enrich, hyperbolic_cross, total_degree
 from .orthopoly import (
     DensitySpec,
+    _sample_points,
     gauss_rule,
     level_set,
     quadrature_exactness_report,
     recurrence_coefficients,
-    sample_density,
 )
 
 __all__ = [
     "StudyConfig",
     "TARGETS",
+    "STUDY_FIELDS",
+    "VERIFY_FIELDS",
     "study_condition",
     "study_approx",
     "verify_oned",
@@ -81,8 +82,8 @@ class StudyConfig:
     seed: int = 0
     methods: tuple[str, ...] = ("CFP", "AFP", "MC")
     validation_samples: int = 1000
-    elliptic_sigma: float = 1.0
-    elliptic_grid_points: int = 1001
+    elliptic_sigma: float = EllipticConfig.sigma
+    elliptic_grid_points: int = EllipticConfig.grid_points
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -168,11 +169,7 @@ def _design_points(
         rng = np.random.default_rng(
             np.random.SeedSequence([config.seed, _STREAM_MC, degree, trial])
         )
-        cols = [
-            sample_density(config.density, rng, m_points)
-            for _ in range(config.dimension)
-        ]
-        return np.column_stack(cols)
+        return _sample_points((config.density,) * config.dimension, rng, m_points)
     cand_seed = _derive_seed(
         config.seed, _STREAM_CANDIDATES, _METHOD_ID[method], degree, trial
     )
@@ -332,9 +329,7 @@ def verify_oned(family: str, n_max: int) -> list[dict]:
         for label, y in starts:
             nodes = level_set(table, n, y)
             rows, kvals = _rows_and_sums(basis, nodes[:, None], "Q")
-            sigma = np.linalg.svd(rows, compute_uv=False)
-            kappa = _cond_from_singular(sigma)
-            detmod = _det_from_singular(sigma)
+            detmod, kappa = _det_and_cond(rows)
             weights = 1.0 / kvals
             report = quadrature_exactness_report(
                 table, nodes, kvals, max(2 * n - 2, 0)

@@ -279,6 +279,23 @@ def test_condition_number_hand_values():
         condition_number(np.ones(3))
 
 
+def test_empty_matrix_diagnostics():
+    # no rows: det_modulus is the empty product, and the matrix is singular
+    assert det_modulus(np.empty((0, 3))) == 1.0
+    assert condition_number(np.empty((0, 3))) == math.inf
+
+
+@pytest.mark.parametrize("diagnostic", [det_modulus, condition_number])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_matrices_raise_naming_the_entry(diagnostic, bad, capfd):
+    matrix = np.eye(3)
+    matrix[1, 2] = matrix[2, 0] = bad  # the first in row order is named
+    with pytest.raises(ValueError, match=rf"entry \(1, 2\) is {bad}, not finite"):
+        diagnostic(matrix)
+    # the SVD never runs, so LAPACK prints no DLASCL complaint
+    assert capfd.readouterr().err == ""
+
+
 def test_hadamard_bound_on_random_square_q_matrices():
     rng = np.random.default_rng(17)
     cases = (

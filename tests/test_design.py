@@ -559,6 +559,22 @@ def test_too_few_distinct_candidates_raise(select, distinct, copies, degree):
         select(cands, lam, m_points)
 
 
+@pytest.mark.parametrize("space", ["Q", "P"])
+def test_oracles_reject_rank_deficient_selections(space):
+    """Three distinct points for four picks: any four candidates repeat a
+    point, so every subset's determinant is rounding noise (about 1e-16),
+    which the oracles must count as rank deficient, as the fast path does."""
+    cands = manual_candidates([-0.5, 0.3, -0.5, 0.9, 0.3, 0.9], UNIFORM)
+    lam = total_degree(1, 4)
+    with pytest.raises(RankDeficientError, match="rank deficient at step 3"):
+        greedy_select_reference(cands, lam, 4, space)
+    with pytest.raises(RankDeficientError, match="no subset of full rank"):
+        global_select_oracle(cands, lam, 4, space)
+    select = cfp_select if space == "Q" else afp_select
+    with pytest.raises(RankDeficientError, match="rank 3 before 4 pivots"):
+        select(cands, lam, 4)
+
+
 def test_rank_deficient_candidates_raise():
     t = np.linspace(-1.0, 1.0, 7)
     cands = manual_candidates(np.column_stack([t, t]), UNIFORM)

@@ -11,6 +11,7 @@ import math
 
 import pytest
 
+import cfpdesign.multiindex
 from cfpdesign import (
     MultiIndexSet,
     enrich,
@@ -43,8 +44,13 @@ def test_total_degree_matches_enumeration(dimension, degree):
     assert len(got) == math.comb(degree + dimension, dimension)
 
 
-@pytest.mark.parametrize("dimension", [1, 2, 3, 4])
-@pytest.mark.parametrize("degree", [0, 1, 3, 7, 10])
+# d = 6 and d = 10 are the widths where the budget prunes whole subtrees
+@pytest.mark.parametrize(
+    "degree,dimension",
+    [(k, d) for k in (0, 1, 3, 7, 10) for d in (1, 2, 3, 4)]
+    + [(k, 6) for k in range(4)]
+    + [(k, 10) for k in range(3)],
+)
 def test_hyperbolic_cross_matches_enumeration(dimension, degree):
     got = hyperbolic_cross(dimension, degree)
     expected = _box_filter_oracle(
@@ -88,6 +94,13 @@ def test_size_guard():
         total_degree(0, 2)
     with pytest.raises(ValueError):
         hyperbolic_cross(2, -1)
+
+
+def test_hyperbolic_cross_size_guard(monkeypatch):
+    monkeypatch.setattr(cfpdesign.multiindex, "MAX_SET_SIZE", 100)
+    with pytest.raises(ValueError, match="size guard"):
+        hyperbolic_cross(10, 8)  # 471 indices
+    assert len(hyperbolic_cross(10, 3)) == 76
 
 
 def test_set_validation():

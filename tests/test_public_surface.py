@@ -1,6 +1,9 @@
 """The package's exported names, the names perfbench's tracer wraps, the
 fields of its value types and the README's library example.
 
+The package exports exactly its modules' `__all__` lists, in pipeline
+order, and the set of those names is pinned here.
+
 `perfbench/tracer.py` looks up every function it times by module and name,
 so a surface cut that drops one of them breaks `perfbench/run.py --trace 1`.
 The tracer file is only read here, never changed.
@@ -47,6 +50,38 @@ def test_exported_names_resolve_and_oracles_stay_private():
     for name in NOT_EXPORTED:
         assert name not in cfpdesign.__all__
         assert name not in vars(cfpdesign)
+
+
+# the package's modules, in pipeline order
+MODULES = ("orthopoly", "multiindex", "basis", "design", "lsq", "elliptic", "studies")
+
+# the package surface; a name added to a module's __all__ shows up here
+SURFACE = {
+    "__version__",
+    "DensitySpec", "RecurrenceTable", "recurrence_coefficients", "eval_phi",
+    "eval_phi_sequence", "gauss_rule", "r_ratio", "level_set",
+    "quadrature_exactness_report", "sample_density",
+    "MultiIndexSet", "total_degree", "hyperbolic_cross", "is_downward_closed",
+    "enrich",
+    "ProductBasis", "RankDeficientError", "eval_row", "eval_rows",
+    "christoffel", "det_modulus", "condition_number",
+    "CandidateSet", "DesignResult", "candidate_set", "cfp_select", "afp_select",
+    "Surrogate", "solve_weighted", "solve_unweighted", "eval_surrogate",
+    "validation_error",
+    "EllipticConfig", "diffusivity", "solve_bvp", "solve_bvp_batch",
+    "StudyConfig", "TARGETS", "STUDY_FIELDS", "VERIFY_FIELDS",
+    "study_condition", "study_approx", "verify_oned", "render_csv",
+    "config_echo", "resolve_target",
+}
+
+
+def test_package_exports_exactly_its_modules_names():
+    expected = ["__version__"]
+    for module in MODULES:
+        expected += getattr(cfpdesign, module).__all__
+    assert cfpdesign.__all__ == expected
+    assert set(cfpdesign.__all__) == SURFACE
+    assert len(SURFACE) == 47
 
 
 def test_value_type_fields():
