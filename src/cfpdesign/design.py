@@ -10,8 +10,8 @@ The loop runs in blocks. Squared residuals never increase, so the rows with
 the largest ones form a shortlist that no other row can overtake while the
 next pick stays clear of the largest square left out; the steps of a block
 read only the shortlist, and one matrix product per row block then
-downdates every row by all of the block's directions. Rows that fit in L2
-are their own shortlist. In exact arithmetic every pick is the one a
+downdates every row by all of the block's directions. A row set no longer
+than a shortlist is one block. In exact arithmetic every pick is the one a
 step-by-step loop over all rows makes. Ties within a relative window of
 1e-12 go to the lowest candidate index; in the unit-norm row space the
 first step is an exact mathematical tie, so the window is what keeps the
@@ -54,20 +54,16 @@ __all__ = [
 
 # relative window within which per-step determinants count as tied
 TIE_RTOL = 1e-12
+# rank floor, relative: a pick whose residual norm is at most this share of
+# the largest row norm, or rows whose smallest singular value is at most this
+# share of their largest, are rank deficient
+RANK_RTOL = 1e-12
 # a downdated squared residual below this share of its last exact value has
 # lost half its digits to cancellation (the xGEQP3 test, on squares)
 RECOMPUTE_RATIO = math.sqrt(np.finfo(float).eps)
-# the pivot loop picks from a shortlist only while the rows hold more than
-# this many float64 values, 2 MB, the per-core L2 size: rows that fit there
-# already stream about twice as fast as from L3 (a single-thread matvec reads
-# 38-41 GB/s from L2 and 17-20 GB/s from L3 on a 2-core Xeon), so they keep
-# the step-by-step loop; with shortlists, the study's uniform d=2 TD 2-5
-# loops at 10k candidates ran 1.2-3.1x slower (TD 2: 0.8 -> 1.3-2.6 ms,
-# TD 4: 2.1-2.3 -> 3.2-4.0 ms; medians of 25, one thread)
-SHORTLIST_MIN_VALUES = 2**18
-# rows above that gate are picked from a shortlist of this many rows with the
-# largest squared residuals: 1024 rows of the widest study rows (143 values)
-# hold 1.2 MB, so each step's matvec reads them from L2
+# the pivot loop picks from a shortlist of this many rows with the largest
+# squared residuals: 1024 rows of the widest study rows (143 values) hold
+# 1.2 MB, so each step's matvec reads them from L2
 SHORTLIST_ROWS = 1024
 
 REFERENCE_MAX_CANDIDATES = 1000
@@ -228,12 +224,12 @@ def _recompute_low(
     v: np.ndarray, sq: np.ndarray, floor: np.ndarray, q: np.ndarray, low: np.ndarray
 ) -> None:
     """Squares below their floor recomputed from v's rows against the
-    directions q, 512 rows at a time, so no temporary the size of v
-    appears; low is a bool buffer the size of sq."""
+    directions q in row blocks, so no temporary the size of v appears; low
+    is a bool buffer the size of sq."""
     if np.less(sq, floor, out=low).any():
         rows = np.flatnonzero(low)
-        for start in range(0, rows.size, 512):
-            blk = rows[start : start + 512]
+        for part in _row_blocks(rows.size, v.shape[1]):
+            blk = rows[part]
             res = v[blk] - (v[blk] @ q.T) @ q
             sq[blk] = np.einsum("ij,ij->i", res, res)
         floor[rows] = RECOMPUTE_RATIO * sq[rows]
@@ -251,37 +247,34 @@ def _greedy_pivot_qr(v: np.ndarray, m_points: int) -> tuple[np.ndarray, np.ndarr
     bound is reached, one product per row block gives every row's
     components along the block's directions, and one subtraction per row
     downdates its square by their sum of squares, before the cancellation
-    test runs on all rows. Rows that fit in L2 (at most SHORTLIST_MIN_VALUES
-    values), and row sets no longer than a shortlist, are their own
-    shortlist, as views: their one block is the whole selection. The
-    picks follow the downdated squares; the rank test and the trace read
-    the picked row's Gram-Schmidt residual, which keeps its digits where a
-    downdated square has lost them to cancellation. v is not written.
+    test runs on all rows. A row set no longer than a shortlist is one
+    block, the whole selection. The picks follow the downdated squares;
+    the rank test and the trace read the picked row's Gram-Schmidt
+    residual, which keeps its digits where a downdated square has lost
+    them to cancellation. v is not written.
     """
     sq = np.einsum("ij,ij->i", v, v)
     floor = RECOMPUTE_RATIO * sq
-    rank_floor = (1e-12 * math.sqrt(float(np.max(sq)))) ** 2
+    rank_floor = (RANK_RTOL * math.sqrt(float(np.max(sq)))) ** 2
     q = np.empty((m_points, v.shape[1]))
     k = 0
     pivots = np.empty(m_points, dtype=int)
     trace = np.empty(m_points)
-    c = np.empty(len(v))
+    size = min(len(v), SHORTLIST_ROWS)
+    # one buffer holds every block's shortlist rows, so two never coexist
+    shortlist = np.empty((size + 1, v.shape[1]))
+    c = np.empty(size + 1)
     low = np.empty(len(v), dtype=bool)
     running_det = 1.0
-    whole = v.size <= SHORTLIST_MIN_VALUES or len(v) <= SHORTLIST_ROWS
-    # one buffer holds every block's shortlist rows, so two never coexist
-    shortlist = None if whole else np.empty((SHORTLIST_ROWS + 1, v.shape[1]))
     while True:
-        if whole:
-            rows, vs, sqs, floors, outside = None, v, sq, floor, -math.inf
-        else:
-            j = _window_pick(sq)[0]
-            top = np.argpartition(sq, -SHORTLIST_ROWS)[-SHORTLIST_ROWS:]
-            rows = np.sort(top if j in top else np.append(top, j))
-            vs = np.take(v, rows, axis=0, out=shortlist[: len(rows)])
-            sqs, floors = sq[rows], floor[rows]
-            sq[rows] = -math.inf
-            outside = float(sq.max())
+        j = _window_pick(sq)[0]
+        top = np.argpartition(sq, -size)[-size:]
+        rows = np.sort(top if j in top else np.append(top, j))
+        # the indices are in range; mode="raise" would buffer the out= copy
+        vs = np.take(v, rows, axis=0, out=shortlist[: len(rows)], mode="clip")
+        sqs, floors = sq[rows], floor[rows]
+        sq[rows] = -math.inf
+        outside = float(sq.max())
         start = k
         while True:
             j, lo = _window_pick(sqs)
@@ -300,7 +293,7 @@ def _greedy_pivot_qr(v: np.ndarray, m_points: int) -> tuple[np.ndarray, np.ndarr
             norm = math.sqrt(ww)
             running_det *= norm
             trace[k] = running_det
-            pivots[k] = j if rows is None else rows[j]
+            pivots[k] = rows[j]
             q[k] = w / norm
             k += 1
             if k == m_points:  # the residuals after the last pick are never read
@@ -410,10 +403,10 @@ def afp_select(
 
 def _log_det_modulus(rows: np.ndarray) -> float:
     """Log of the determinant modulus; -inf when the rows are rank deficient,
-    with their smallest singular value at most 1e-12 of their largest, the
-    relative floor of the fast path's rank test."""
+    with their smallest singular value at most RANK_RTOL of their largest,
+    the relative floor of the fast path's rank test."""
     sigma = np.linalg.svd(rows, compute_uv=False)
-    if sigma[-1] <= 1e-12 * sigma[0]:
+    if sigma[-1] <= RANK_RTOL * sigma[0]:
         return -math.inf
     return float(np.sum(np.log(sigma)))
 

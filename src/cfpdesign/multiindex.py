@@ -141,20 +141,17 @@ def is_downward_closed(index_set: MultiIndexSet) -> bool:
     return True
 
 
-def enrich(index_set: MultiIndexSet, extra: int | None = None) -> MultiIndexSet:
+def enrich(index_set: MultiIndexSet, extra: int) -> MultiIndexSet:
     """Append the first `extra` multi-indices in grevlex order that are not
     in the set.
 
     Grades are enumerated one at a time, lowest first, until enough are
     found. Each total-degree set is a grevlex prefix of the next, so these
     are the grevlex-ordered members of the smallest total-degree superset
-    that has `extra` indices outside the set. extra defaults to
-    max(1, floor(0.05 * N)).
+    that has `extra` indices outside the set.
     """
     if not is_downward_closed(index_set):
         raise ValueError("enrichment requires a downward-closed index set")
-    if extra is None:
-        extra = max(1, int(0.05 * len(index_set)))
     if extra < 1:
         raise ValueError("extra must be positive")
     found: list[tuple[int, ...]] = []

@@ -138,18 +138,6 @@ def test_enrich_hand_examples():
     assert list(enrich(line, 1)) == [(0,), (1,), (2,), (3,), (4,)]
 
 
-def test_enrich_default_size():
-    # N = 60: five percent rounds down to three extra indices
-    line = total_degree(1, 59)
-    grown = enrich(line)
-    assert len(grown) == 63
-    assert list(grown)[-3:] == [(60,), (61,), (62,)]
-    # small sets still grow by one
-    small = total_degree(2, 1)
-    assert len(enrich(small)) == 4
-    assert list(enrich(small))[-1] == (2, 0)
-
-
 def test_enrich_preserves_prefix_and_grows():
     lam = hyperbolic_cross(3, 4)
     grown = enrich(lam, 5)
