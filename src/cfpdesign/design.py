@@ -1,11 +1,13 @@
 """Candidate ensembles and deterministic point selection.
 
 Selection is greedy determinant maximization, computed as lazy pivoted
-Cholesky of the Gram matrix V V^T: each step picks the candidate whose
-downdated squared residual against the span of the selected rows is
-largest, orthogonalizes its row against the chosen directions, which
-multiplies the running determinant modulus by that residual norm, and
-downdates every squared residual by its component along the new direction.
+Cholesky of the Gram matrix V V^T of the plain rows: each step picks the
+candidate whose downdated weighted squared residual against the span of the
+selected rows is largest, orthogonalizes its row against the chosen
+directions, which multiplies the running determinant modulus by that
+weighted residual norm, and downdates every weighted square along the new
+direction. AFP weighs every row by 1. CFP weighs it by 1/K, K its squared
+norm (its Christoffel sum), which gives the residuals of the unit-norm rows.
 The loop runs in blocks. Squared residuals never increase, so the rows with
 the largest ones form a shortlist that no other row can overtake while the
 next pick stays clear of the largest square left out; the steps of a block
@@ -13,15 +15,15 @@ read only the shortlist, and one matrix product per row block then
 downdates every row by all of the block's directions. A row set no longer
 than a shortlist is one block. In exact arithmetic every pick is the one a
 step-by-step loop over all rows makes. Ties within a relative window of
-1e-12 go to the lowest candidate index; in the unit-norm row space the
-first step is an exact mathematical tie, so the window is what keeps the
-choice well defined. Equal candidates (-0.0 equal to 0.0) tie the same way,
-so the first occurrence is picked and its copies are left with no residual.
+1e-12 go to the lowest candidate index. CFP's weighted squares all start at
+exactly 1, so its first pick is candidate 0. Equal candidates (-0.0 equal
+to 0.0) tie, so the first occurrence is picked and its copies are left with
+no residual.
 
 The literal greedy reference and the brute-force subset oracle evaluate
-their determinants from scratch at every step and exist to check the fast
-path, so they must stay independent of it; they share only the row set-up
-and the result build with it, and are not exported.
+their determinants from scratch at every step, on CFP's unit-norm rows, to
+check the fast path, so they must stay independent of it; they share only
+the basis set-up and the result build with it, and are not exported.
 """
 
 from __future__ import annotations
@@ -221,39 +223,42 @@ def _window_pick(sq: np.ndarray) -> tuple[int, float]:
 
 
 def _recompute_low(
-    v: np.ndarray, sq: np.ndarray, floor: np.ndarray, q: np.ndarray, low: np.ndarray
+    v: np.ndarray, w: np.ndarray, sq: np.ndarray, floor: np.ndarray, q: np.ndarray,
+    low: np.ndarray,
 ) -> None:
-    """Squares below their floor recomputed from v's rows against the
-    directions q in row blocks, so no temporary the size of v appears; low
-    is a bool buffer the size of sq."""
+    """Weighted squares below their floor recomputed from v's rows, weighted
+    by w, against the directions q in row blocks, so no temporary the size
+    of v appears; low is a bool buffer the size of sq."""
     if np.less(sq, floor, out=low).any():
         rows = np.flatnonzero(low)
         for part in _row_blocks(rows.size, v.shape[1]):
             blk = rows[part]
             res = v[blk] - (v[blk] @ q.T) @ q
-            sq[blk] = np.einsum("ij,ij->i", res, res)
+            sq[blk] = w[blk] * np.einsum("ij,ij->i", res, res)
         floor[rows] = RECOMPUTE_RATIO * sq[rows]
 
 
-def _greedy_pivot_qr(v: np.ndarray, m_points: int) -> tuple[np.ndarray, np.ndarray]:
+def _greedy_pivot_qr(
+    v: np.ndarray, m_points: int, sq: np.ndarray, w: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """(pivots into v's rows, determinant-modulus trace) of m_points greedy
-    steps, in blocks.
+    steps, in blocks, on squared residuals weighted by w; sq holds their
+    initial values, w_i |v_i|^2 (consumed).
 
-    A block gathers the SHORTLIST_ROWS rows with the largest squared
-    residuals, plus the window pick, and takes the largest square left out
-    as a bound on every other row: squares never increase, so while the
-    next pick's tie window lies above that bound no other row can be
-    picked or tie, and each step runs on the shortlist alone. When the
-    bound is reached, one product per row block gives every row's
-    components along the block's directions, and one subtraction per row
-    downdates its square by their sum of squares, before the cancellation
-    test runs on all rows. A row set no longer than a shortlist is one
-    block, the whole selection. The picks follow the downdated squares;
-    the rank test and the trace read the picked row's Gram-Schmidt
-    residual, which keeps its digits where a downdated square has lost
-    them to cancellation. v is not written.
+    A block gathers the SHORTLIST_ROWS rows with the largest squares, plus
+    the window pick, and takes the largest square left out as a bound on
+    every other row: squares never increase, so while the next pick's tie
+    window lies above that bound no other row can be picked or tie, and
+    each step runs on the shortlist alone. When the bound is reached, one
+    product per row block gives every row's components along the block's
+    directions, and one subtraction per row downdates its square by w_i
+    times their sum of squares, before the cancellation test runs on all
+    rows. A row set no longer than a shortlist is one block. The picks
+    follow the downdated squares; the rank test and the trace read
+    w_j |g|^2 of the picked row's Gram-Schmidt residual g, which keeps its
+    digits where a downdated square has lost them to cancellation. v is
+    not written; weights of 1 change no bit.
     """
-    sq = np.einsum("ij,ij->i", v, v)
     floor = RECOMPUTE_RATIO * sq
     rank_floor = (RANK_RTOL * math.sqrt(float(np.max(sq)))) ** 2
     q = np.empty((m_points, v.shape[1]))
@@ -272,7 +277,7 @@ def _greedy_pivot_qr(v: np.ndarray, m_points: int) -> tuple[np.ndarray, np.ndarr
         rows = np.sort(top if j in top else np.append(top, j))
         # the indices are in range; mode="raise" would buffer the out= copy
         vs = np.take(v, rows, axis=0, out=shortlist[: len(rows)], mode="clip")
-        sqs, floors = sq[rows], floor[rows]
+        sqs, floors, ws = sq[rows], floor[rows], w[rows]
         sq[rows] = -math.inf
         outside = float(sq.max())
         start = k
@@ -283,48 +288,45 @@ def _greedy_pivot_qr(v: np.ndarray, m_points: int) -> tuple[np.ndarray, np.ndarr
             if k > start and not lo > outside:
                 break
             # classical Gram-Schmidt, two passes
-            w = vs[j] - (q[:k] @ vs[j]) @ q[:k]
-            w -= (q[:k] @ w) @ q[:k]
-            ww = float(w @ w)
-            if ww <= rank_floor:
+            g = vs[j] - (q[:k] @ vs[j]) @ q[:k]
+            g -= (q[:k] @ g) @ q[:k]
+            gg = float(g @ g)
+            if ws[j] * gg <= rank_floor:
                 raise RankDeficientError(
                     f"candidate rows reached rank {k} before {m_points} pivots"
                 )
-            norm = math.sqrt(ww)
-            running_det *= norm
+            running_det *= math.sqrt(ws[j] * gg)
             trace[k] = running_det
             pivots[k] = rows[j]
-            q[k] = w / norm
+            q[k] = g / math.sqrt(gg)
             k += 1
             if k == m_points:  # the residuals after the last pick are never read
                 return pivots, trace
             cs = c[: len(vs)]
             np.matmul(vs, q[k - 1], out=cs)
             np.multiply(cs, cs, out=cs)
+            cs *= ws
             sqs -= cs
             sqs[j] = floors[j] = -math.inf  # never picked nor recomputed again
-            _recompute_low(vs, sqs, floors, q[:k], low[: len(vs)])
+            _recompute_low(vs, ws, sqs, floors, q[:k], low[: len(vs)])
         # block end: the rows outside the shortlist catch up on its directions
         for blk in _row_blocks(len(v), k - start):
             cb = v[blk] @ q[start:k].T
-            sq[blk] -= np.einsum("ij,ij->i", cb, cb)
+            sq[blk] -= w[blk] * np.einsum("ij,ij->i", cb, cb)
         sq[rows] = sqs
         floor[rows] = floors
-        _recompute_low(v, sq, floor, q[:k], low)
+        _recompute_low(v, w, sq, floor, q[:k], low)
 
 
-def _selection_rows(
-    candidates: CandidateSet,
-    index_set: MultiIndexSet,
-    m_points: int,
-    space: str,
-) -> np.ndarray:
-    """Rows of every candidate, in the given order, in space for a
-    selection of m_points; raises ValueError when the basis or the
-    candidate list is too small. Equal candidates are not merged: their
-    rows tie, the lowest index wins the tie, and once it is picked the
-    others have no residual, so fewer distinct candidates than m_points
-    raise the pivot loop's RankDeficientError."""
+def _selection_basis(
+    candidates: CandidateSet, index_set: MultiIndexSet, m_points: int
+) -> ProductBasis:
+    """The basis of index_set for a selection of m_points among the
+    candidates; raises ValueError when the basis or the candidate list is
+    too small. Equal candidates are not merged: their rows tie, the lowest
+    index wins the tie, and once it is picked the others have no residual,
+    so fewer distinct candidates than m_points raise the pivot loop's
+    RankDeficientError."""
     if index_set.dimension != candidates.dimension:
         raise ValueError("index set and candidates disagree on dimension")
     if m_points < 1:
@@ -335,23 +337,23 @@ def _selection_rows(
         )
     if m_points > len(candidates):
         raise ValueError(f"only {len(candidates)} candidates for {m_points} points")
-    basis = ProductBasis.for_density(candidates.densities, index_set)
-    return eval_rows(basis, candidates.points, space)
+    return ProductBasis.for_density(candidates.densities, index_set)
 
 
 def _design_result(
     candidates: CandidateSet,
-    index_set: MultiIndexSet,
+    basis: ProductBasis,
     space: str,
     pivots: np.ndarray,
-    selected: np.ndarray,
     trace: np.ndarray,
 ) -> DesignResult:
-    """DesignResult for pivots into the candidate list; selected holds their
-    rows, and m_points <= N, so both diagnostics come from one SVD."""
-    det, cond = _det_and_cond(selected)
+    """DesignResult for pivots into the candidate list. Their rows in space
+    are evaluated again, equal bit for bit to the rows of every candidate at
+    those points, and m_points <= N, so both diagnostics come from one SVD."""
+    points = candidates.points[pivots]
+    det, cond = _det_and_cond(eval_rows(basis, points, space))
     return DesignResult(
-        points=candidates.points[pivots],
+        points=points,
         pivot_order=tuple(int(i) for i in pivots),
         objective_trace=trace,
         det_modulus=det,
@@ -359,7 +361,7 @@ def _design_result(
         space=space,
         seed=candidates.seed,
         config={
-            "basis_size": len(index_set),
+            "basis_size": len(basis.index_set),
             "m_points": len(pivots),
             "m_candidates": len(candidates),
             "degree_hint": candidates.degree_hint,
@@ -374,21 +376,35 @@ def _qr_select(
     m_points: int,
     space: str,
 ) -> DesignResult:
-    v = _selection_rows(candidates, index_set, m_points, space)
-    pivots, trace = _greedy_pivot_qr(v, m_points)
-    return _design_result(candidates, index_set, space, pivots, v[pivots], trace)
+    basis = _selection_basis(candidates, index_set, m_points)
+    v = eval_rows(basis, candidates.points, "P")
+    sq = np.einsum("ij,ij->i", v, v)  # each row's Christoffel sum K
+    bad = np.flatnonzero(~(np.isfinite(sq) & ((sq > 0.0) | (space == "P"))))
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(
+            f"Christoffel sum {sq[i]} at point {i} {candidates.points[i].tolist()} "
+            f"is not {'positive and ' if space == 'Q' else ''}finite "
+            f"(basis degree {index_set.max_degree})"
+        )
+    # CFP weighs rows by 1/K; its weighted squares are set to exactly 1, not
+    # rounded from K * (1/K), so its first step is an exact tie
+    w = 1.0 / sq if space == "Q" else np.ones(len(v))
+    sq = np.ones(len(v)) if space == "Q" else sq
+    pivots, trace = _greedy_pivot_qr(v, m_points, sq, w)
+    return _design_result(candidates, basis, space, pivots, trace)
 
 
 def cfp_select(
     candidates: CandidateSet, index_set: MultiIndexSet, m_points: int
 ) -> DesignResult:
-    """Greedy determinant-maximizing selection on unit-norm rows.
+    """Greedy determinant-maximizing selection on plain rows, each squared
+    residual weighted by 1/K, K the row's Christoffel sum.
 
-    Lazy pivoted Cholesky of the Gram matrix of the Christoffel-scaled
-    design matrix, run in blocks: each block picks from a shortlist of the
-    rows with the largest residuals while no other row can overtake them,
-    then downdates every row with one matrix product. The pivots are those
-    of a column-pivoted QR of its transpose.
+    The blocked lazy Cholesky loop of AFP with these weights gives the
+    pivots of a column-pivoted QR of the transposed unit-norm rows, which
+    the diagnostics describe. A Christoffel sum that overflows or vanishes
+    raises ValueError naming the point.
     """
     return _qr_select(candidates, index_set, m_points, "Q")
 
@@ -396,8 +412,8 @@ def cfp_select(
 def afp_select(
     candidates: CandidateSet, index_set: MultiIndexSet, m_points: int
 ) -> DesignResult:
-    """Same blocked lazy Cholesky selection on plain rows (approximate Fekete
-    points)."""
+    """The same selection with every weight 1 (approximate Fekete points);
+    a squared row norm that overflows raises ValueError naming the point."""
     return _qr_select(candidates, index_set, m_points, "P")
 
 
@@ -427,7 +443,8 @@ def greedy_select_reference(
         raise ValueError(
             f"reference selection capped at {REFERENCE_MAX_CANDIDATES} candidates"
         )
-    v = _selection_rows(candidates, index_set, m_points, space)
+    basis = _selection_basis(candidates, index_set, m_points)
+    v = eval_rows(basis, candidates.points, space)
 
     chosen: list[int] = []
     remaining = list(range(len(v)))
@@ -443,7 +460,7 @@ def greedy_select_reference(
         chosen.append(remaining.pop(int(tied[0])))
         trace[k] = det_modulus(v[chosen])
 
-    return _design_result(candidates, index_set, space, chosen, v[chosen], trace)
+    return _design_result(candidates, basis, space, chosen, trace)
 
 
 def global_select_oracle(
@@ -458,7 +475,8 @@ def global_select_oracle(
     Ties keep the first subset in index order. Guarded to at most 1e6
     subsets; strictly a test oracle.
     """
-    v = _selection_rows(candidates, index_set, m_points, space)
+    basis = _selection_basis(candidates, index_set, m_points)
+    v = eval_rows(basis, candidates.points, space)
     n_subsets = math.comb(len(v), m_points)
     if n_subsets > ORACLE_MAX_SUBSETS:
         raise ValueError(f"{n_subsets} subsets exceed the oracle guard")
@@ -475,4 +493,4 @@ def global_select_oracle(
 
     chosen = list(best_combo)
     trace = np.array([det_modulus(v[chosen[: k + 1]]) for k in range(m_points)])
-    return _design_result(candidates, index_set, space, chosen, v[chosen], trace)
+    return _design_result(candidates, basis, space, chosen, trace)

@@ -1,8 +1,8 @@
-"""Import-path tests, each in a fresh interpreter.
+"""Fresh-interpreter tests: import paths and process settings.
 
 numpy is the only runtime dependency: every command must run in an
 interpreter where scipy cannot be imported at all, and a fresh process must
-write the same bytes as a warm one.
+write the same bytes as a warm one, whatever the number of BLAS threads.
 """
 
 import json
@@ -22,9 +22,10 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 NO_SCIPY = 'import sys; sys.modules["scipy"] = None'
 
 
-def _fresh_python(code: str) -> str:
-    """Run code in a new interpreter with src first on its path; its stdout."""
-    env = dict(os.environ)
+def _fresh_python(code: str, **variables: str) -> str:
+    """Run code in a new interpreter with src first on its path and the
+    given environment variables set; its stdout."""
+    env = dict(os.environ, **variables)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC), env.get("PYTHONPATH")) if p
     )
@@ -83,3 +84,16 @@ def test_verify_runs_without_scipy_with_identical_output(tmp_path, family):
     assert out == "0\n"
     assert main(argv + ["-o", str(warm)]) == 0
     assert fresh.read_bytes() == warm.read_bytes()
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs 2 cores")
+def test_outputs_do_not_depend_on_the_blas_thread_count():
+    code = """
+        import cfpdesign.cli as cli
+
+        cli.main(["design", "--degree", "15", "-o", "-"])
+        cli.main(["study", "cond", "--degrees", "9", "--trials", "1", "-o", "-"])
+        """
+    one = _fresh_python(code, OPENBLAS_NUM_THREADS="1")
+    assert one.count("pivot_order") == 1 and "CFP,9,55,58,mean," in one
+    assert _fresh_python(code, OPENBLAS_NUM_THREADS="2") == one

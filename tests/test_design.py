@@ -9,7 +9,11 @@ built case has a row outside the shortlist overtake it, clustered candidates
 test the cancellation recompute and the trace's digits, and a
 rank-deficient curve tests the rank floor under several shortlist sizes),
 and the brute-force subset oracle on cases small enough to enumerate.
-Repeated candidates are checked against selection on the distinct ones.
+CFP's first step is an exact tie that needs no tie window, both methods
+select on one evaluation of plain rows, overflowing Christoffel sums are
+named, and pivots and traces do not depend on the shortlist or row-block
+sizes. Repeated candidates are checked against selection on the distinct
+ones.
 Hypothesis properties cover the Hadamard-bounded trace and invariance under
 candidate permutations. Ensemble draws are checked against their target
 laws by KS statistics frozen for fixed seeds, plus an in-test rejection
@@ -17,6 +21,7 @@ sampler for the ball law.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -41,12 +46,21 @@ from cfpdesign import (
     recurrence_coefficients,
     total_degree,
 )
+from cfpdesign import basis as basis_module
 from cfpdesign import design
 from cfpdesign.design import (
     SHORTLIST_ROWS,
     _greedy_pivot_qr,
     global_select_oracle,
     greedy_select_reference,
+)
+from cfpdesign.studies import (
+    _METHOD_ID,
+    _STREAM_CANDIDATES,
+    StudyConfig,
+    _degree_setup,
+    _derive_seed,
+    _select,
 )
 
 UNIFORM = DensitySpec.uniform()
@@ -322,6 +336,14 @@ def test_selection_matches_explicit_residual_greedy_at_study_scale(
     np.testing.assert_allclose(got.objective_trace, expected, rtol=1e-8)
 
 
+def _clustered_candidates():
+    """42 clusters of 238 near-duplicate points each, 1e-3 wide."""
+    rng = np.random.default_rng(1)
+    centers = rng.uniform(-1.0, 1.0, 42)
+    pts = (centers[:, None] + 1e-3 * rng.uniform(-1.0, 1.0, (42, 238))).ravel()
+    return manual_candidates(pts, UNIFORM)
+
+
 @pytest.mark.parametrize("select,space", [(afp_select, "P"), (cfp_select, "Q")])
 def test_clustered_candidates_match_explicit_residual_greedy(select, space):
     """42 clusters of near-duplicate candidates, 1e-3 wide, for 60 Legendre
@@ -332,10 +354,7 @@ def test_clustered_candidates_match_explicit_residual_greedy(select, space):
     compared. The trace multiplies in each pick's Gram-Schmidt residual,
     not its downdated square, so its last entry keeps 8 digits of the
     determinant."""
-    rng = np.random.default_rng(1)
-    centers = rng.uniform(-1.0, 1.0, 42)
-    pts = (centers[:, None] + 1e-3 * rng.uniform(-1.0, 1.0, (42, 238))).ravel()
-    cands = manual_candidates(pts, UNIFORM)
+    cands = _clustered_candidates()
     lam = total_degree(1, 59)
     assert len(cands) > SHORTLIST_ROWS
     got = select(cands, lam, len(lam))
@@ -402,7 +421,8 @@ def test_row_outside_the_shortlist_overtakes_it():
     expected, _ = _explicit_residual_greedy(v, 30)
     first_shortlist = np.argsort(np.einsum("ij,ij->i", v, v))[-SHORTLIST_ROWS:]
     assert expected[0] in first_shortlist and expected[1] not in first_shortlist
-    pivots, _ = _greedy_pivot_qr(v, 30)
+    sq, w = np.einsum("ij,ij->i", v, v), np.ones(len(v))
+    pivots, _ = _greedy_pivot_qr(v, 30, sq, w)
     assert pivots.tolist() == expected
 
 
@@ -418,7 +438,8 @@ def test_shortlist_picked_out_starts_a_new_block(monkeypatch):
     v[:64] = 2.0 * np.eye(500)[:64]
     expected, _ = _explicit_residual_greedy(v, 80)
     assert sorted(expected[:64]) == list(range(64))
-    pivots, _ = _greedy_pivot_qr(v, 80)
+    sq, w = np.einsum("ij,ij->i", v, v), np.ones(len(v))
+    pivots, _ = _greedy_pivot_qr(v, 80, sq, w)
     assert pivots.tolist() == expected
 
 
@@ -602,12 +623,118 @@ def test_rank_deficiency_names_the_rank(select, shortlist_rows, monkeypatch):
     residual is rounding noise: the verdict must not depend on how the
     shortlist blocks fall."""
     monkeypatch.setattr(design, "SHORTLIST_ROWS", shortlist_rows)
-    t = np.random.default_rng(0).uniform(-1.0, 1.0, 10_000)
-    cands = manual_candidates(np.column_stack([t, t**3]), UNIFORM)
+    cands = _curve_candidates()
     lam = total_degree(2, 6)
     assert len(cands) > shortlist_rows
     with pytest.raises(RankDeficientError, match="rank 18 before 28 pivots"):
         select(cands, lam, len(lam))
+
+
+def _curve_candidates():
+    """10k points on the curve y = x^3."""
+    t = np.random.default_rng(0).uniform(-1.0, 1.0, 10_000)
+    return manual_candidates(np.column_stack([t, t**3]), UNIFORM)
+
+
+def _study_td15(density, method):
+    """The study's trial-0 TD 15 selection (10k candidates, M = 143)."""
+    config = StudyConfig(family=density.kind)
+    _, lam_tilde, m_points = _degree_setup(config, 15)
+    seed = _derive_seed(0, _STREAM_CANDIDATES, _METHOD_ID[method], 15, 0)
+    return _select(config, method, lam_tilde, m_points, seed)
+
+
+@pytest.mark.parametrize("density", [UNIFORM, GAUSSIAN], ids=["uniform", "gaussian"])
+def test_cfp_first_step_is_an_exact_tie(density, monkeypatch):
+    """CFP's weighted squares all start at exactly 1, so candidate 0 is the
+    first pick by the lowest-index rule alone, and no later pick of the
+    study's TD 15 selection rests on the tie window either. The squares of
+    unit-norm rows differ in their last bits: without the window their
+    first pick is candidate 7241 (uniform) or 1914 (Gaussian)."""
+    default = _study_td15(density, "CFP").pivot_order
+    monkeypatch.setattr(design, "TIE_RTOL", 0.0)
+    assert default[0] == 0
+    assert _study_td15(density, "CFP").pivot_order == default
+
+
+@pytest.mark.parametrize("select", [cfp_select, afp_select])
+def test_overflowing_christoffel_sum_names_the_point(select, capfd):
+    """`design --family gaussian --dimension 1 --degree 350` selects with
+    Hermite rows of basis degree 368 among 10k draws. The rows are finite
+    (up to 4.4e158), but the squared row norm at the outermost draw
+    overflows: both methods name that point and the degree, before any
+    numpy warning and not as a rank deficiency."""
+    cands = candidate_set(GAUSSIAN, 1, 10_000, 368, 0)
+    lam = total_degree(1, 368)
+    message = r"Christoffel sum inf at point 5216 \[-26\.97\d*\] .*\(basis degree 368\)"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            select(cands, lam, 369)
+    assert capfd.readouterr().err == ""
+
+
+@pytest.mark.parametrize("select,space", [(cfp_select, "Q"), (afp_select, "P")])
+def test_selection_evaluates_plain_rows_once(select, space, monkeypatch):
+    """Both methods select on the plain rows of every candidate, evaluated
+    once; only the picked points are evaluated again, in the method's space,
+    for the diagnostics."""
+    calls = []
+
+    def spy(basis, points, row_space):
+        calls.append((len(points), row_space))
+        return eval_rows(basis, points, row_space)
+
+    monkeypatch.setattr(design, "eval_rows", spy)
+    lam = total_degree(2, 8)
+    select(candidate_set(UNIFORM, 2, 2000, 8, 0), lam, len(lam))
+    assert calls == [(2000, "P"), (len(lam), space)]
+
+
+def _tuning_slice_outcomes():
+    """Pivots and trace bytes, or the error message, of each selection in a
+    slice that reaches every path of the pivot loop."""
+    runs = [
+        (_study_td15, (density, method))
+        for density in (UNIFORM, GAUSSIAN)
+        for method in ("CFP", "AFP")
+    ]
+    cases = [
+        (_clustered_candidates(), total_degree(1, 59), 60),
+        (manual_candidates(np.round(_DRAW, 2), UNIFORM), total_degree(2, 10), 66),
+        (_curve_candidates(), total_degree(2, 6), 28),
+    ]
+    runs += [(select, case) for select in (cfp_select, afp_select) for case in cases]
+    outcomes = []
+    for run, args in runs:
+        try:
+            result = run(*args)
+        except RankDeficientError as exc:
+            outcomes.append(str(exc))
+        else:
+            outcomes.append((result.pivot_order, result.objective_trace.tobytes()))
+    return outcomes
+
+
+@pytest.fixture(scope="module")
+def default_tuning_outcomes():
+    return _tuning_slice_outcomes()
+
+
+@pytest.mark.parametrize("block_values", [2**10, 2**15, 2**21])
+@pytest.mark.parametrize("shortlist_rows", [1, 2, 1024])
+def test_selection_does_not_depend_on_tuning_constants(
+    shortlist_rows, block_values, default_tuning_outcomes, monkeypatch
+):
+    """The shortlist size and the row-block budget set only how the work is
+    cut up: pivots and traces are bit-equal, and the rank-deficient curve
+    gives the same message. One shortlist row ends a block after every pick
+    or two."""
+    monkeypatch.setattr(design, "SHORTLIST_ROWS", shortlist_rows)
+    monkeypatch.setattr(basis_module, "ROW_BLOCK_VALUES", block_values)
+    outcomes = _tuning_slice_outcomes()
+    assert outcomes == default_tuning_outcomes
+    assert outcomes[-1] == "candidate rows reached rank 18 before 28 pivots"
 
 
 def test_selection_validation():
