@@ -1,9 +1,9 @@
 """Tensor-product bases, Christoffel weights, and design-matrix diagnostics.
 
 The product basis psi_alpha(y) = prod_j phi_{alpha_j}(y_j) spans the
-polynomial space of a multi-index set. Rows come in two flavors: plain
-evaluations ("P") and rows scaled to unit Euclidean norm by the inverse
-square root of the Christoffel function ("Q"). All determinant and
+polynomial space of a multi-index set. One kernel gives plain rows ("P")
+and their squared norms, the Christoffel sums K; one check and one division
+by sqrt(K) give rows of unit Euclidean norm ("Q"). All determinant and
 conditioning diagnostics run on singular values of plain (m, N) arrays.
 """
 
@@ -91,12 +91,15 @@ class ProductBasis:
         return cls(tables=tables, index_set=index_set)
 
 
-def _as_points(basis: ProductBasis, points) -> np.ndarray:
+def _as_points(points, dimension: int, label: str = "point") -> np.ndarray:
+    """points as an (m, dimension) float array; a point of another dimension
+    or the first one with a non-finite coordinate raises ValueError."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.shape[1] != basis.dimension:
-        raise ValueError(
-            f"points have dimension {pts.shape[1]}, basis has {basis.dimension}"
-        )
+    if pts.shape[1] != dimension:
+        raise ValueError(f"{label}s have dimension {pts.shape[1]}, need {dimension}")
+    if not np.isfinite(pts).all():  # a whole-array test; rows only to name one
+        bad = np.flatnonzero(~np.isfinite(pts).all(axis=1))
+        raise ValueError(f"{label} {int(bad[0])} is not finite")
     return pts
 
 
@@ -108,8 +111,8 @@ def _row_blocks(m: int, width: int):
         yield slice(start, min(start + step, m))
 
 
-def _rows_and_sums(basis: ProductBasis, points, space: str | None):
-    """(rows, Christoffel sums) in row blocks; space "P", "Q" or None.
+def _rows_and_sums(basis: ProductBasis, points, keep_rows: bool = True):
+    """(plain rows, Christoffel sums) in row blocks; rows None unless keep_rows.
 
     Each coordinate's recurrence values stay in the layout eval_phi_sequence
     returns, (deg+1, m). A row block gathers whole sequence rows,
@@ -117,20 +120,18 @@ def _rows_and_sums(basis: ProductBasis, points, space: str | None):
     (N, b) product, built in the block's own memory of the one C-ordered
     (m, N) output; its transpose is copied back over it as the block's rows.
     Christoffel row sums and the pivot matvec add in memory order, so layout
-    sets bits. "P" returns no sums. None keeps no rows, only the unchecked
-    sums, from a product of its own per block. "Q" checks each block's sums
-    and scales its rows to unit norm; a sum that overflowed or vanished
-    raises ValueError naming the point.
+    sets bits. A sum that overflows is inf, with no floating point warning;
+    the callers check the sums they use with _check_sums.
     """
-    pts = _as_points(basis, points)
+    pts = _as_points(points, basis.dimension)
     idx = np.asarray(basis.index_set.indices, dtype=int)
     m, n = len(pts), len(idx)
     seqs = [
         eval_phi_sequence(t, int(idx[:, j].max()), pts[:, j])
         for j, t in enumerate(basis.tables)
     ]
-    rows = None if space is None else np.empty((m, n))
-    sums = None if space == "P" else np.empty(m)
+    rows = np.empty((m, n)) if keep_rows else None
+    sums = np.empty(m)
     for blk in _row_blocks(m, n):
         b = blk.stop - blk.start
         prod = np.empty((n, b)) if rows is None else rows[blk].reshape(n, b)
@@ -140,19 +141,30 @@ def _rows_and_sums(basis: ProductBasis, points, space: str | None):
         psi = prod.T.copy()
         if rows is not None:
             rows[blk] = psi
-        if sums is not None:
-            k = sums[blk] = np.sum(np.multiply(psi, psi, out=psi), axis=1)
-        del psi  # so the Q scaling and the next gathers add no second block
-        if space == "Q":
-            bad = np.flatnonzero(~(np.isfinite(k) & (k > 0.0)))
-            if bad.size:
-                i = blk.start + int(bad[0])
-                raise ValueError(
-                    f"Christoffel sum {float(sums[i])} at point {i} "
-                    f"{pts[i].tolist()} is not positive and finite "
-                    f"(basis degree {basis.index_set.max_degree})"
-                )
-            rows[blk] /= np.sqrt(k)[:, None]
+        with np.errstate(over="ignore"):
+            sums[blk] = np.sum(np.multiply(psi, psi, out=psi), axis=1)
+        del psi  # so the next gathers add no second block
+    return rows, sums
+
+
+def _check_sums(basis: ProductBasis, points, sums: np.ndarray, positive=True):
+    """Raise ValueError naming the first sum not finite (or not > 0, if positive)."""
+    bad = np.flatnonzero(~(np.isfinite(sums) & ((sums > 0.0) | (not positive))))
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(
+            f"Christoffel sum {sums[i]} at point {i} "
+            f"{_as_points(points, basis.dimension)[i].tolist()} is not "
+            f"{'positive and ' if positive else ''}finite "
+            f"(basis degree {basis.index_set.max_degree})"
+        )
+
+
+def _unit_rows(basis: ProductBasis, points):
+    """(rows of unit norm, Christoffel sums): the kernel's rows divided by sqrt(K)."""
+    rows, sums = _rows_and_sums(basis, points)
+    _check_sums(basis, points, sums)
+    rows /= np.sqrt(sums)[:, None]
     return rows, sums
 
 
@@ -161,12 +173,13 @@ def eval_rows(basis: ProductBasis, points, space: str) -> np.ndarray:
 
     Rows are evaluated in blocks sized by ROW_BLOCK_VALUES and written
     into the one output array, so no other temporary of its size appears.
-    Q rows need a positive finite Christoffel sum at every point; a sum that
-    overflowed or vanished raises ValueError naming the point.
+    A non-finite point raises ValueError naming it. Q rows need a positive
+    finite Christoffel sum at every point; a sum that overflowed or vanished
+    raises ValueError naming the point.
     """
     if space not in SPACES:
         raise ValueError(f"space must be one of {SPACES}")
-    return _rows_and_sums(basis, points, space)[0]
+    return (_unit_rows if space == "Q" else _rows_and_sums)(basis, points)[0]
 
 
 def eval_row(basis: ProductBasis, y, space: str) -> np.ndarray:
@@ -178,12 +191,10 @@ def christoffel(basis: ProductBasis, y):
     """K(y) = sum_alpha psi_alpha(y)^2; scalar in, float out.
 
     Evaluated in row blocks without keeping the rows, and not checked: a
-    sum that overflowed comes back as inf.
+    sum that overflowed comes back as inf, with no floating point warning.
     """
-    k = _rows_and_sums(basis, y, None)[1]
-    if np.asarray(y).ndim <= 1:
-        return float(k[0])
-    return k
+    k = _rows_and_sums(basis, y, keep_rows=False)[1]
+    return float(k[0]) if np.asarray(y).ndim <= 1 else k
 
 
 def vandermonde(basis: ProductBasis, points, space: str) -> np.ndarray:

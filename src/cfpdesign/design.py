@@ -6,8 +6,8 @@ candidate whose downdated weighted squared residual against the span of the
 selected rows is largest, orthogonalizes its row against the chosen
 directions, which multiplies the running determinant modulus by that
 weighted residual norm, and downdates every weighted square along the new
-direction. AFP weighs every row by 1. CFP weighs it by 1/K, K its squared
-norm (its Christoffel sum), which gives the residuals of the unit-norm rows.
+direction. AFP weighs every row by 1. CFP weighs it by 1/K, K the Christoffel
+sum the row kernel returns with the rows, which gives unit-norm residuals.
 The loop runs in blocks. Squared residuals never increase, so the rows with
 the largest ones form a shortlist that no other row can overtake while the
 next pick stays clear of the largest square left out; the steps of a block
@@ -38,8 +38,11 @@ import numpy as np
 from .basis import (
     ProductBasis,
     RankDeficientError,
+    _as_points,
+    _check_sums,
     _det_and_cond,
     _row_blocks,
+    _rows_and_sums,
     det_modulus,
     eval_rows,
 )
@@ -86,14 +89,10 @@ class CandidateSet:
     seed: int
 
     def __post_init__(self):
-        object.__setattr__(self, "points", np.array(self.points, dtype=float))
-        if self.points.ndim != 2:
+        if np.ndim(self.points) != 2:
             raise ValueError("points must have shape (m_total, d)")
-        if len(self.densities) != self.points.shape[1]:
-            raise ValueError("one density per coordinate required")
-        bad = np.flatnonzero(~np.isfinite(self.points).all(axis=1))
-        if bad.size:
-            raise ValueError(f"candidate point {int(bad[0])} is not finite")
+        points = _as_points(self.points, len(self.densities), "candidate point")
+        object.__setattr__(self, "points", np.array(points))
         self.points.setflags(write=False)
 
     def __len__(self) -> int:
@@ -377,20 +376,11 @@ def _qr_select(
     space: str,
 ) -> DesignResult:
     basis = _selection_basis(candidates, index_set, m_points)
-    v = eval_rows(basis, candidates.points, "P")
-    sq = np.einsum("ij,ij->i", v, v)  # each row's Christoffel sum K
-    bad = np.flatnonzero(~(np.isfinite(sq) & ((sq > 0.0) | (space == "P"))))
-    if bad.size:
-        i = int(bad[0])
-        raise ValueError(
-            f"Christoffel sum {sq[i]} at point {i} {candidates.points[i].tolist()} "
-            f"is not {'positive and ' if space == 'Q' else ''}finite "
-            f"(basis degree {index_set.max_degree})"
-        )
+    v, k = _rows_and_sums(basis, candidates.points)
+    _check_sums(basis, candidates.points, k, positive=space == "Q")
     # CFP weighs rows by 1/K; its weighted squares are set to exactly 1, not
     # rounded from K * (1/K), so its first step is an exact tie
-    w = 1.0 / sq if space == "Q" else np.ones(len(v))
-    sq = np.ones(len(v)) if space == "Q" else sq
+    w, sq = (1.0 / k, np.ones(len(v))) if space == "Q" else (np.ones(len(v)), k)
     pivots, trace = _greedy_pivot_qr(v, m_points, sq, w)
     return _design_result(candidates, basis, space, pivots, trace)
 

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import _row_blocks
+from .basis import _as_points, _row_blocks
 
 __all__ = ["EllipticConfig", "diffusivity", "solve_bvp", "solve_bvp_batch"]
 
@@ -88,14 +88,7 @@ def solve_bvp_batch(config: EllipticConfig, y: np.ndarray) -> np.ndarray:
     The batch is solved in row blocks sized by ROW_BLOCK_VALUES (kappa
     values), so no kappa array of the whole batch is allocated.
     """
-    y2 = np.atleast_2d(np.asarray(y, dtype=float))
-    if y2.shape[1] != config.dimension:
-        raise ValueError(
-            f"parameters have dimension {y2.shape[1]}, config has {config.dimension}"
-        )
-    bad = np.flatnonzero(~np.isfinite(y2).all(axis=1))
-    if bad.size:
-        raise ValueError(f"parameter point {int(bad[0])} is not finite")
+    y2 = _as_points(y, config.dimension, "parameter point")
     gp = config.grid_points
     h = 1.0 / (gp - 1)
     # the (gp - 1) / 2 cell midpoints left of x = 1/2; the flux there is 1 - 2x

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import ProductBasis, RankDeficientError, _rows_and_sums, eval_rows
+from .basis import ProductBasis, RankDeficientError, _unit_rows, eval_rows
 from .multiindex import MultiIndexSet
 from .orthopoly import DensitySpec, _sample_points
 
@@ -57,6 +57,18 @@ class Surrogate:
         return cls(basis=basis, coefficients=data["coefficients"])
 
 
+def _as_values(values, m: int, name: str = "values") -> np.ndarray:
+    """values as an (m,) float array; another shape or the first non-finite
+    entry raises ValueError naming them."""
+    vals = np.asarray(values, dtype=float)
+    if vals.shape != (m,):
+        raise ValueError(f"{name} has shape {vals.shape}, need ({m},), one per point")
+    if not np.isfinite(vals).all():
+        i = int(np.flatnonzero(~np.isfinite(vals))[0])
+        raise ValueError(f"{name} entry {i} is {vals[i]}, not finite")
+    return vals
+
+
 def _lstsq(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     m, n = matrix.shape
     if m < n:
@@ -73,21 +85,24 @@ def _lstsq(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 def solve_weighted(
     basis: ProductBasis, points: np.ndarray, values: np.ndarray
 ) -> Surrogate:
-    """Fit with Christoffel weights: rows and data scaled by 1/sqrt(K)."""
-    values = np.asarray(values, dtype=float)
+    """Fit with Christoffel weights: rows and data scaled by 1/sqrt(K).
+
+    One finite value per point; another count, a non-finite value or point,
+    or a Christoffel sum that overflows or vanishes raises ValueError
+    naming it."""
     # one row pass gives the Q rows and the Christoffel sums that scale the data
-    q, k = _rows_and_sums(basis, points, "Q")
-    coeff = _lstsq(q, values / np.sqrt(k))
+    q, k = _unit_rows(basis, points)
+    coeff = _lstsq(q, _as_values(values, len(q)) / np.sqrt(k))
     return Surrogate(basis=basis, coefficients=coeff)
 
 
 def solve_unweighted(
     basis: ProductBasis, points: np.ndarray, values: np.ndarray
 ) -> Surrogate:
-    """Plain least squares on unscaled rows."""
-    values = np.asarray(values, dtype=float)
+    """Plain least squares on unscaled rows; points and values are checked
+    as in solve_weighted."""
     p = eval_rows(basis, points, "P")
-    coeff = _lstsq(p, values)
+    coeff = _lstsq(p, _as_values(values, len(p)))
     return Surrogate(basis=basis, coefficients=coeff)
 
 
@@ -106,12 +121,14 @@ def validation_error(
 ) -> float:
     """Discrete l2 error against the target on fresh iid draws.
 
-    target maps an (n, d) array to an (n,) array. The draw comes from the
+    target maps an (n, d) array to an (n,) array of finite values; another
+    shape or a non-finite value raises ValueError. The draw comes from the
     surrogate's own densities and is independent of any design seed.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 2]))
     z = _sample_points(surrogate.basis.densities, rng, n_samples)
-    residual = np.asarray(target(z), dtype=float) - eval_surrogate(surrogate, z)
+    values = _as_values(target(z), n_samples, "target output")
+    residual = values - eval_surrogate(surrogate, z)
     return float(np.sqrt(np.mean(residual * residual)))

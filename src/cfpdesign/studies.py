@@ -19,7 +19,7 @@ from . import __version__
 from .basis import (
     ProductBasis,
     _det_and_cond,
-    _rows_and_sums,
+    _unit_rows,
     condition_number,
     eval_rows,
 )
@@ -328,7 +328,7 @@ def verify_oned(family: str, n_max: int) -> list[dict]:
         starts.append(("gauss", float(gauss_nodes[-1])))
         for label, y in starts:
             nodes = level_set(table, n, y)
-            rows, kvals = _rows_and_sums(basis, nodes[:, None], "Q")
+            rows, kvals = _unit_rows(basis, nodes[:, None])
             detmod, kappa = _det_and_cond(rows)
             weights = 1.0 / kvals
             report = quadrature_exactness_report(

@@ -27,6 +27,7 @@ from cfpdesign import (
     hyperbolic_cross,
     recurrence_coefficients,
     sample_density,
+    solve_weighted,
     total_degree,
 )
 from cfpdesign.basis import ROW_BLOCK_VALUES
@@ -152,6 +153,26 @@ def test_christoffel_failure_names_its_point_past_the_first_block():
         ValueError, match=r"point 5000 \[30.0\]"
     ):
         eval_rows(hermite, pts, "Q")
+
+
+def test_overflowing_christoffel_sum_is_named_without_a_warning(capfd):
+    """The Hermite rows of degree 400 at y = 30 are finite (up to 6.2e189),
+    but their squared norm overflows: Q rows and the weighted solve name the
+    point from the one sums check, christoffel returns inf, and no numpy
+    warning is raised or printed on the way."""
+    hermite = ProductBasis.for_density(GAUSSIAN, total_degree(1, 400))
+    pts = np.zeros((10_000, 1))
+    pts[5000] = 30.0
+    message = r"Christoffel sum inf at point 5000 \[30.0\] .*\(basis degree 400\)"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            eval_rows(hermite, pts, "Q")
+        with pytest.raises(ValueError, match=message):
+            solve_weighted(hermite, pts, np.zeros(len(pts)))
+        k = christoffel(hermite, pts)
+    assert k[5000] == math.inf and np.isfinite(np.delete(k, 5000)).all()
+    assert capfd.readouterr().err == ""
 
 
 def _traced_peak(call):

@@ -10,8 +10,9 @@ test the cancellation recompute and the trace's digits, and a
 rank-deficient curve tests the rank floor under several shortlist sizes),
 and the brute-force subset oracle on cases small enough to enumerate.
 CFP's first step is an exact tie that needs no tie window, both methods
-select on one evaluation of plain rows, overflowing Christoffel sums are
-named, and pivots and traces do not depend on the shortlist or row-block
+select on one evaluation of plain rows and weigh them by the Christoffel
+sums that christoffel returns, overflowing Christoffel sums are named, and
+pivots and traces do not depend on the shortlist or row-block
 sizes. Repeated candidates are checked against selection on the distinct
 ones.
 Hypothesis properties cover the Hadamard-bounded trace and invariance under
@@ -39,6 +40,7 @@ from cfpdesign import (
     afp_select,
     candidate_set,
     cfp_select,
+    christoffel,
     condition_number,
     eval_rows,
     hyperbolic_cross,
@@ -677,18 +679,57 @@ def test_overflowing_christoffel_sum_names_the_point(select, capfd):
 @pytest.mark.parametrize("select,space", [(cfp_select, "Q"), (afp_select, "P")])
 def test_selection_evaluates_plain_rows_once(select, space, monkeypatch):
     """Both methods select on the plain rows of every candidate, evaluated
-    once; only the picked points are evaluated again, in the method's space,
-    for the diagnostics."""
+    once by the row kernel with their Christoffel sums; only the picked
+    points are evaluated again, in the method's space, for the diagnostics."""
     calls = []
+
+    def kernel_spy(basis, points):
+        calls.append((len(points), "rows and sums"))
+        return basis_module._rows_and_sums(basis, points)
 
     def spy(basis, points, row_space):
         calls.append((len(points), row_space))
         return eval_rows(basis, points, row_space)
 
+    monkeypatch.setattr(design, "_rows_and_sums", kernel_spy)
     monkeypatch.setattr(design, "eval_rows", spy)
     lam = total_degree(2, 8)
     select(candidate_set(UNIFORM, 2, 2000, 8, 0), lam, len(lam))
-    assert calls == [(2000, "P"), (len(lam), space)]
+    assert calls == [(2000, "rows and sums"), (len(lam), space)]
+
+
+class _Captured(Exception):
+    pass
+
+
+@pytest.mark.parametrize("method", ["CFP", "AFP"])
+def test_selection_weights_are_the_christoffel_sums(method, monkeypatch):
+    """The pivot loop reads the Christoffel sums of the row kernel, the ones
+    christoffel returns: CFP's weights are 1/K bit for bit, AFP's initial
+    squares are K. An einsum over the same rows adds in another order and
+    differs in the last bit at 5886 (CFP draw) and 5942 (AFP draw) of
+    these 10k candidates."""
+    config = StudyConfig(family="uniform")
+    _, lam_tilde, m_points = _degree_setup(config, 15)
+    seed = _derive_seed(0, _STREAM_CANDIDATES, _METHOD_ID[method], 15, 0)
+    cands = candidate_set(UNIFORM, 2, 10_000, lam_tilde.max_degree, seed)
+    k = christoffel(ProductBasis.for_density(UNIFORM, lam_tilde), cands.points)
+    seen = {}
+
+    def capture(v, m, sq, w):
+        seen.update(sq=sq.copy(), w=w.copy())
+        raise _Captured
+
+    monkeypatch.setattr(design, "_greedy_pivot_qr", capture)
+    select = cfp_select if method == "CFP" else afp_select
+    with pytest.raises(_Captured):
+        select(cands, lam_tilde, m_points)
+    if method == "CFP":
+        assert seen["w"].tobytes() == (1.0 / k).tobytes()
+        assert np.all(seen["sq"] == 1.0)
+    else:
+        assert seen["sq"].tobytes() == k.tobytes()
+        assert np.all(seen["w"] == 1.0)
 
 
 def _tuning_slice_outcomes():
