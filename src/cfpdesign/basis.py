@@ -1,10 +1,10 @@
 """Tensor-product bases, Christoffel weights, and design-matrix diagnostics.
 
 The product basis psi_alpha(y) = prod_j phi_{alpha_j}(y_j) spans the
-polynomial space of a multi-index set. One kernel gives plain rows ("P")
-and their squared norms, the Christoffel sums K; one check and one division
-by sqrt(K) give rows of unit Euclidean norm ("Q"). All determinant and
-conditioning diagnostics run on singular values of plain (m, N) arrays.
+polynomial space of a multi-index set. One kernel gives plain rows ("P"),
+one sum their squared norms K (Christoffel sums) for the weighted paths,
+and one check and one division by sqrt(K) give unit-norm rows ("Q"). All
+determinant and conditioning diagnostics use singular values of (m, N) arrays.
 """
 
 from __future__ import annotations
@@ -111,8 +111,8 @@ def _row_blocks(m: int, width: int):
         yield slice(start, min(start + step, m))
 
 
-def _rows_and_sums(basis: ProductBasis, points, keep_rows: bool = True):
-    """(plain rows, Christoffel sums) in row blocks; rows None unless keep_rows.
+def _rows(basis: ProductBasis, points) -> np.ndarray:
+    """Plain rows, shape (m, N), C-ordered, built in row blocks.
 
     Each coordinate's recurrence values stay in the layout eval_phi_sequence
     returns, (deg+1, m). A row block gathers whole sequence rows,
@@ -120,8 +120,7 @@ def _rows_and_sums(basis: ProductBasis, points, keep_rows: bool = True):
     (N, b) product, built in the block's own memory of the one C-ordered
     (m, N) output; its transpose is copied back over it as the block's rows.
     Christoffel row sums and the pivot matvec add in memory order, so layout
-    sets bits. A sum that overflows is inf, with no floating point warning;
-    the callers check the sums they use with _check_sums.
+    sets bits.
     """
     pts = _as_points(points, basis.dimension)
     idx = np.asarray(basis.index_set.indices, dtype=int)
@@ -130,21 +129,26 @@ def _rows_and_sums(basis: ProductBasis, points, keep_rows: bool = True):
         eval_phi_sequence(t, int(idx[:, j].max()), pts[:, j])
         for j, t in enumerate(basis.tables)
     ]
-    rows = np.empty((m, n)) if keep_rows else None
-    sums = np.empty(m)
+    rows = np.empty((m, n))
     for blk in _row_blocks(m, n):
-        b = blk.stop - blk.start
-        prod = np.empty((n, b)) if rows is None else rows[blk].reshape(n, b)
+        prod = rows[blk].reshape(n, blk.stop - blk.start)
         prod[...] = seqs[0][idx[:, 0], blk]
         for j in range(1, len(seqs)):
             prod *= seqs[j][idx[:, j], blk]
-        psi = prod.T.copy()
-        if rows is not None:
-            rows[blk] = psi
-        with np.errstate(over="ignore"):
-            sums[blk] = np.sum(np.multiply(psi, psi, out=psi), axis=1)
-        del psi  # so the next gathers add no second block
-    return rows, sums
+        rows[blk] = prod.T.copy()
+    return rows
+
+
+def _sums(rows: np.ndarray) -> np.ndarray:
+    """Christoffel sums K of plain rows, one row block at a time. A sum that
+    overflows is inf, with no floating point warning; the callers check the
+    sums they use with _check_sums."""
+    sums = np.empty(len(rows))
+    with np.errstate(over="ignore"):
+        for blk in _row_blocks(*rows.shape):
+            # pairwise per row, as np.sum adds; an einsum changes K's last bits
+            sums[blk] = np.sum(np.square(rows[blk]), axis=1)
+    return sums
 
 
 def _check_sums(basis: ProductBasis, points, sums: np.ndarray, positive=True):
@@ -162,7 +166,8 @@ def _check_sums(basis: ProductBasis, points, sums: np.ndarray, positive=True):
 
 def _unit_rows(basis: ProductBasis, points):
     """(rows of unit norm, Christoffel sums): the kernel's rows divided by sqrt(K)."""
-    rows, sums = _rows_and_sums(basis, points)
+    rows = _rows(basis, points)
+    sums = _sums(rows)
     _check_sums(basis, points, sums)
     rows /= np.sqrt(sums)[:, None]
     return rows, sums
@@ -179,7 +184,7 @@ def eval_rows(basis: ProductBasis, points, space: str) -> np.ndarray:
     """
     if space not in SPACES:
         raise ValueError(f"space must be one of {SPACES}")
-    return (_unit_rows if space == "Q" else _rows_and_sums)(basis, points)[0]
+    return _unit_rows(basis, points)[0] if space == "Q" else _rows(basis, points)
 
 
 def eval_row(basis: ProductBasis, y, space: str) -> np.ndarray:
@@ -190,10 +195,13 @@ def eval_row(basis: ProductBasis, y, space: str) -> np.ndarray:
 def christoffel(basis: ProductBasis, y):
     """K(y) = sum_alpha psi_alpha(y)^2; scalar in, float out.
 
-    Evaluated in row blocks without keeping the rows, and not checked: a
-    sum that overflowed comes back as inf, with no floating point warning.
+    Summed one row block of points at a time, keeping no (m, N) array, and
+    not checked: an overflowed sum is inf, with no floating point warning.
     """
-    k = _rows_and_sums(basis, y, keep_rows=False)[1]
+    pts = _as_points(y, basis.dimension)
+    k = np.empty(len(pts))
+    for blk in _row_blocks(len(pts), len(basis.index_set)):
+        k[blk] = _sums(_rows(basis, pts[blk]))
     return float(k[0]) if np.asarray(y).ndim <= 1 else k
 
 

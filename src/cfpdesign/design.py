@@ -42,7 +42,8 @@ from .basis import (
     _check_sums,
     _det_and_cond,
     _row_blocks,
-    _rows_and_sums,
+    _rows,
+    _sums,
     det_modulus,
     eval_rows,
 )
@@ -376,7 +377,8 @@ def _qr_select(
     space: str,
 ) -> DesignResult:
     basis = _selection_basis(candidates, index_set, m_points)
-    v, k = _rows_and_sums(basis, candidates.points)
+    v = _rows(basis, candidates.points)
+    k = _sums(v)
     _check_sums(basis, candidates.points, k, positive=space == "Q")
     # CFP weighs rows by 1/K; its weighted squares are set to exactly 1, not
     # rounded from K * (1/K), so its first step is an exact tie

@@ -29,17 +29,18 @@ __all__ = [
 @dataclass(frozen=True)
 class Surrogate:
     """Coefficients of a polynomial surrogate in a product basis; coefficients
-    is a read-only copy of the array passed in."""
+    is a read-only copy of the array passed in, one finite value per basis
+    function."""
 
     basis: ProductBasis
     coefficients: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "coefficients", np.array(self.coefficients, dtype=float)
-        )
-        if self.coefficients.shape != (len(self.basis.index_set),):
+        coeffs = np.array(self.coefficients, dtype=float)
+        if coeffs.shape != (len(self.basis.index_set),):
             raise ValueError("one coefficient per basis function required")
+        coeffs = _as_values(coeffs, len(coeffs), "coefficients")
+        object.__setattr__(self, "coefficients", coeffs)
         self.coefficients.setflags(write=False)
 
     def to_json(self) -> dict:

@@ -11,10 +11,10 @@ rank-deficient curve tests the rank floor under several shortlist sizes),
 and the brute-force subset oracle on cases small enough to enumerate.
 CFP's first step is an exact tie that needs no tie window, both methods
 select on one evaluation of plain rows and weigh them by the Christoffel
-sums that christoffel returns, overflowing Christoffel sums are named, and
-pivots and traces do not depend on the shortlist or row-block
-sizes. Repeated candidates are checked against selection on the distinct
-ones.
+sums that christoffel returns, only the weighted paths sum K, overflowing
+Christoffel sums are named, and pivots and traces do not depend on the
+shortlist or row-block sizes. Repeated candidates are checked against
+selection on the distinct ones.
 Hypothesis properties cover the Hadamard-bounded trace and invariance under
 candidate permutations. Ensemble draws are checked against their target
 laws by KS statistics frozen for fixed seeds, plus an in-test rejection
@@ -43,9 +43,12 @@ from cfpdesign import (
     christoffel,
     condition_number,
     eval_rows,
+    eval_surrogate,
     hyperbolic_cross,
     level_set,
     recurrence_coefficients,
+    solve_unweighted,
+    solve_weighted,
     total_degree,
 )
 from cfpdesign import basis as basis_module
@@ -679,23 +682,56 @@ def test_overflowing_christoffel_sum_names_the_point(select, capfd):
 @pytest.mark.parametrize("select,space", [(cfp_select, "Q"), (afp_select, "P")])
 def test_selection_evaluates_plain_rows_once(select, space, monkeypatch):
     """Both methods select on the plain rows of every candidate, evaluated
-    once by the row kernel with their Christoffel sums; only the picked
-    points are evaluated again, in the method's space, for the diagnostics."""
+    once by the row kernel; only the picked points are evaluated again, in
+    the method's space, for the diagnostics."""
     calls = []
 
     def kernel_spy(basis, points):
-        calls.append((len(points), "rows and sums"))
-        return basis_module._rows_and_sums(basis, points)
+        calls.append((len(points), "rows"))
+        return basis_module._rows(basis, points)
 
     def spy(basis, points, row_space):
         calls.append((len(points), row_space))
         return eval_rows(basis, points, row_space)
 
-    monkeypatch.setattr(design, "_rows_and_sums", kernel_spy)
+    monkeypatch.setattr(design, "_rows", kernel_spy)
     monkeypatch.setattr(design, "eval_rows", spy)
     lam = total_degree(2, 8)
     select(candidate_set(UNIFORM, 2, 2000, 8, 0), lam, len(lam))
-    assert calls == [(2000, "rows and sums"), (len(lam), space)]
+    assert calls == [(2000, "rows"), (len(lam), space)]
+
+
+def test_only_the_weighted_paths_sum_christoffel(monkeypatch):
+    """basis._sums is the one sum of K, and only the paths that weight by K
+    call it: plain rows, surrogate evaluation and the plain solve never do.
+    Each selection sums all its candidates once; CFP's diagnostics sum the
+    M picked points again for their unit-norm rows."""
+    calls = []
+    real_sums = basis_module._sums
+
+    def sums_spy(rows):
+        calls.append(len(rows))
+        return real_sums(rows)
+
+    monkeypatch.setattr(basis_module, "_sums", sums_spy)
+    monkeypatch.setattr(design, "_sums", sums_spy)
+    lam = total_degree(2, 8)
+    basis = ProductBasis.for_density(UNIFORM, lam)
+    cands = candidate_set(UNIFORM, 2, 2000, 8, 0)
+    pts = cands.points
+    values = np.exp(-np.sum(pts, axis=1))
+    eval_rows(basis, pts, "P")
+    eval_surrogate(solve_unweighted(basis, pts, values), pts)
+    assert calls == []
+    eval_rows(basis, pts, "Q")
+    solve_weighted(basis, pts, values)
+    assert calls == [2000, 2000]
+    calls.clear()
+    afp_select(cands, lam, len(lam))
+    assert calls == [2000]
+    calls.clear()
+    cfp_select(cands, lam, len(lam))
+    assert calls == [2000, len(lam)]
 
 
 class _Captured(Exception):

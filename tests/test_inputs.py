@@ -1,13 +1,15 @@
-"""Bad input table: non-finite points and values, and value counts that do
-not match the points.
+"""Bad input table: non-finite points, values and surrogate coefficients,
+and value counts that do not match the points.
 
 Every case raises ValueError naming the argument and its first bad index,
 or the two lengths, before any numpy warning or LAPACK message: stderr
 stays empty. Without the checks a NaN point came back as a NaN row, a NaN
-value as all-NaN coefficients, and solve_unweighted printed two DLASCL
-lines before a LinAlgError.
+value as all-NaN coefficients, solve_unweighted printed two DLASCL
+lines before a LinAlgError, and a surrogate with a NaN coefficient (built
+directly or read back from JSON) evaluated to NaN.
 """
 
+import json
 import math
 import warnings
 
@@ -19,6 +21,7 @@ from cfpdesign import (
     DensitySpec,
     EllipticConfig,
     ProductBasis,
+    Surrogate,
     christoffel,
     eval_row,
     eval_rows,
@@ -43,6 +46,13 @@ def _with(array, bad):
     copy = np.array(array, dtype=float)
     copy[BAD] = bad
     return copy
+
+
+def _surrogate_json(bad):
+    """The surrogate's JSON text, read back, with one coefficient set to bad."""
+    data = SURROGATE.to_json()
+    data["coefficients"][BAD] = bad
+    return json.loads(json.dumps(data))
 
 
 def _target(bad):
@@ -103,6 +113,16 @@ CASES = [
         lambda bad: validation_error(SURROGATE, _target(bad), 50, 0),
         f"^target output entry {BAD} is -?(nan|inf), not finite$",
         id="validation_error-target",
+    ),
+    pytest.param(
+        lambda bad: Surrogate(BASIS, _with(SURROGATE.coefficients, bad)),
+        f"^coefficients entry {BAD} is -?(nan|inf), not finite$",
+        id="Surrogate-coefficient",
+    ),
+    pytest.param(
+        lambda bad: Surrogate.from_json(_surrogate_json(bad)),
+        f"^coefficients entry {BAD} is -?(nan|inf), not finite$",
+        id="Surrogate.from_json-coefficient",
     ),
 ]
 
