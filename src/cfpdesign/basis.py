@@ -19,6 +19,7 @@ from .multiindex import MultiIndexSet
 from .orthopoly import (
     DensitySpec,
     RecurrenceTable,
+    _as_finite,
     _per_coordinate,
     eval_phi_sequence,
     recurrence_coefficients,
@@ -91,18 +92,6 @@ class ProductBasis:
         return cls(tables=tables, index_set=index_set)
 
 
-def _as_points(points, dimension: int, label: str = "point") -> np.ndarray:
-    """points as an (m, dimension) float array; a point of another dimension
-    or the first one with a non-finite coordinate raises ValueError."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.shape[1] != dimension:
-        raise ValueError(f"{label}s have dimension {pts.shape[1]}, need {dimension}")
-    if not np.isfinite(pts).all():  # a whole-array test; rows only to name one
-        bad = np.flatnonzero(~np.isfinite(pts).all(axis=1))
-        raise ValueError(f"{label} {int(bad[0])} is not finite")
-    return pts
-
-
 def _row_blocks(m: int, width: int):
     """Consecutive row slices covering range(m), each holding at most
     ROW_BLOCK_VALUES values of the given row width (one row at least)."""
@@ -111,8 +100,9 @@ def _row_blocks(m: int, width: int):
         yield slice(start, min(start + step, m))
 
 
-def _rows(basis: ProductBasis, points) -> np.ndarray:
-    """Plain rows, shape (m, N), C-ordered, built in row blocks.
+def _rows(basis: ProductBasis, pts: np.ndarray) -> np.ndarray:
+    """Plain rows at checked (m, d) points, shape (m, N), C-ordered, built in
+    row blocks.
 
     Each coordinate's recurrence values stay in the layout eval_phi_sequence
     returns, (deg+1, m). A row block gathers whole sequence rows,
@@ -122,7 +112,6 @@ def _rows(basis: ProductBasis, points) -> np.ndarray:
     Christoffel row sums and the pivot matvec add in memory order, so layout
     sets bits.
     """
-    pts = _as_points(points, basis.dimension)
     idx = np.asarray(basis.index_set.indices, dtype=int)
     m, n = len(pts), len(idx)
     seqs = [
@@ -151,24 +140,25 @@ def _sums(rows: np.ndarray) -> np.ndarray:
     return sums
 
 
-def _check_sums(basis: ProductBasis, points, sums: np.ndarray, positive=True):
-    """Raise ValueError naming the first sum not finite (or not > 0, if positive)."""
+def _check_sums(basis: ProductBasis, pts, sums: np.ndarray, positive=True):
+    """Raise ValueError naming the first sum not finite (or not > 0, if
+    positive) and its point among the checked pts."""
     bad = np.flatnonzero(~(np.isfinite(sums) & ((sums > 0.0) | (not positive))))
     if bad.size:
         i = int(bad[0])
         raise ValueError(
-            f"Christoffel sum {sums[i]} at point {i} "
-            f"{_as_points(points, basis.dimension)[i].tolist()} is not "
+            f"Christoffel sum {sums[i]} at point {i} {pts[i].tolist()} is not "
             f"{'positive and ' if positive else ''}finite "
             f"(basis degree {basis.index_set.max_degree})"
         )
 
 
-def _unit_rows(basis: ProductBasis, points):
-    """(rows of unit norm, Christoffel sums): the kernel's rows divided by sqrt(K)."""
-    rows = _rows(basis, points)
+def _unit_rows(basis: ProductBasis, pts: np.ndarray):
+    """(rows of unit norm, Christoffel sums) at checked points: the kernel's
+    rows divided by sqrt(K)."""
+    rows = _rows(basis, pts)
     sums = _sums(rows)
-    _check_sums(basis, points, sums)
+    _check_sums(basis, pts, sums)
     rows /= np.sqrt(sums)[:, None]
     return rows, sums
 
@@ -178,47 +168,39 @@ def eval_rows(basis: ProductBasis, points, space: str) -> np.ndarray:
 
     Rows are evaluated in blocks sized by ROW_BLOCK_VALUES and written
     into the one output array, so no other temporary of its size appears.
-    A non-finite point raises ValueError naming it. Q rows need a positive
-    finite Christoffel sum at every point; a sum that overflowed or vanished
-    raises ValueError naming the point.
+    Points of another width or a non-finite coordinate raise ValueError
+    naming them. Q rows need a positive finite Christoffel sum at every
+    point; a sum that overflowed or vanished raises ValueError naming the
+    point.
     """
     if space not in SPACES:
         raise ValueError(f"space must be one of {SPACES}")
-    return _unit_rows(basis, points)[0] if space == "Q" else _rows(basis, points)
+    pts = _as_finite(np.atleast_2d(points), "points", ("m", basis.dimension))
+    return _unit_rows(basis, pts)[0] if space == "Q" else _rows(basis, pts)
 
 
 def eval_row(basis: ProductBasis, y, space: str) -> np.ndarray:
     """Single basis row at y; Q rows have unit Euclidean norm."""
-    return eval_rows(basis, y, space)[0]
+    pts = _as_finite(np.atleast_2d(y), "y", ("m", basis.dimension))
+    return eval_rows(basis, pts, space)[0]
 
 
 def christoffel(basis: ProductBasis, y):
     """K(y) = sum_alpha psi_alpha(y)^2; scalar in, float out.
 
-    Summed one row block of points at a time, keeping no (m, N) array, and
-    not checked: an overflowed sum is inf, with no floating point warning.
+    Summed one row block of points at a time, keeping no (m, N) array; K
+    itself is not checked: an overflowed sum is inf, with no floating point warning.
     """
-    pts = _as_points(y, basis.dimension)
+    pts = _as_finite(np.atleast_2d(y), "y", ("m", basis.dimension))
     k = np.empty(len(pts))
     for blk in _row_blocks(len(pts), len(basis.index_set)):
         k[blk] = _sums(_rows(basis, pts[blk]))
-    return float(k[0]) if np.asarray(y).ndim <= 1 else k
+    return float(k[0]) if np.ndim(y) <= 1 else k
 
 
 def vandermonde(basis: ProductBasis, points, space: str) -> np.ndarray:
     # kept only because perfbench/tracer.py wraps it by name; use eval_rows
     return eval_rows(basis, points, space)
-
-
-def _as_matrix(matrix) -> np.ndarray:
-    vals = np.asarray(matrix, dtype=float)
-    if vals.ndim != 2:
-        raise ValueError(f"matrix must be two-dimensional, got shape {vals.shape}")
-    finite = np.isfinite(vals)
-    if not finite.all():
-        i, j = (int(x) for x in np.argwhere(~finite)[0])
-        raise ValueError(f"matrix entry ({i}, {j}) is {vals[i, j]}, not finite")
-    return vals
 
 
 def _det_and_cond(rows: np.ndarray) -> tuple[float, float]:
@@ -246,7 +228,7 @@ def det_modulus(matrix) -> float:
     fits is taken as exp of the summed logarithms. A non-finite entry raises
     ValueError naming it.
     """
-    vals = _as_matrix(matrix)
+    vals = _as_finite(matrix, "matrix", ("m", "N"))
     m, n = vals.shape
     if m > n:
         raise ValueError(f"determinant modulus needs m <= N, got {m} x {n}")
@@ -256,4 +238,4 @@ def det_modulus(matrix) -> float:
 def condition_number(matrix) -> float:
     """Ratio of extreme singular values; +inf when numerically singular. A
     non-finite entry raises ValueError naming it."""
-    return _det_and_cond(_as_matrix(matrix))[1]
+    return _det_and_cond(_as_finite(matrix, "matrix", ("m", "N")))[1]

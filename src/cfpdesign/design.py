@@ -38,7 +38,6 @@ import numpy as np
 from .basis import (
     ProductBasis,
     RankDeficientError,
-    _as_points,
     _check_sums,
     _det_and_cond,
     _row_blocks,
@@ -48,7 +47,7 @@ from .basis import (
     eval_rows,
 )
 from .multiindex import MultiIndexSet
-from .orthopoly import UNIFORM, DensitySpec, _per_coordinate, _sample_points
+from .orthopoly import UNIFORM, DensitySpec, _as_finite, _per_coordinate, _sample_points
 
 __all__ = [
     "CandidateSet",
@@ -90,9 +89,7 @@ class CandidateSet:
     seed: int
 
     def __post_init__(self):
-        if np.ndim(self.points) != 2:
-            raise ValueError("points must have shape (m_total, d)")
-        points = _as_points(self.points, len(self.densities), "candidate point")
+        points = _as_finite(self.points, "points", ("m_total", len(self.densities)))
         object.__setattr__(self, "points", np.array(points))
         self.points.setflags(write=False)
 

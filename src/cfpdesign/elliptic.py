@@ -37,7 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import _as_points, _row_blocks
+from .basis import _row_blocks
+from .orthopoly import _as_finite
 
 __all__ = ["EllipticConfig", "diffusivity", "solve_bvp", "solve_bvp_batch"]
 
@@ -77,9 +78,13 @@ def _kappa(config: EllipticConfig, modes: np.ndarray, y2: np.ndarray) -> np.ndar
 
 
 def diffusivity(config: EllipticConfig, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """kappa on a grid of x for a batch of parameters, shape (n, len(x))."""
-    y2 = np.atleast_2d(np.asarray(y, dtype=float))
-    return _kappa(config, _modes(config, np.asarray(x, dtype=float)), y2)
+    """kappa on a grid of x for a batch of parameters, shape (n, len(x)).
+
+    x must be one-dimensional and y one point or n points of the config's
+    dimension, all finite; anything else raises ValueError naming it."""
+    x1 = _as_finite(x, "x", ("m",))
+    y2 = _as_finite(np.atleast_2d(y), "y", ("n", config.dimension))
+    return _kappa(config, _modes(config, x1), y2)
 
 
 def solve_bvp_batch(config: EllipticConfig, y: np.ndarray) -> np.ndarray:
@@ -88,7 +93,7 @@ def solve_bvp_batch(config: EllipticConfig, y: np.ndarray) -> np.ndarray:
     The batch is solved in row blocks sized by ROW_BLOCK_VALUES (kappa
     values), so no kappa array of the whole batch is allocated.
     """
-    y2 = _as_points(y, config.dimension, "parameter point")
+    y2 = _as_finite(np.atleast_2d(y), "y", ("n", config.dimension))
     gp = config.grid_points
     h = 1.0 / (gp - 1)
     # the (gp - 1) / 2 cell midpoints left of x = 1/2; the flux there is 1 - 2x
@@ -106,4 +111,4 @@ def solve_bvp_batch(config: EllipticConfig, y: np.ndarray) -> np.ndarray:
 
 def solve_bvp(config: EllipticConfig, y) -> float:
     """u(1/2, y) for a single parameter point."""
-    return float(solve_bvp_batch(config, np.atleast_2d(np.asarray(y, dtype=float)))[0])
+    return float(solve_bvp_batch(config, y)[0])

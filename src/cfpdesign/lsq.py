@@ -15,7 +15,7 @@ import numpy as np
 
 from .basis import ProductBasis, RankDeficientError, _unit_rows, eval_rows
 from .multiindex import MultiIndexSet
-from .orthopoly import DensitySpec, _sample_points
+from .orthopoly import DensitySpec, _as_finite, _sample_points
 
 __all__ = [
     "Surrogate",
@@ -36,10 +36,8 @@ class Surrogate:
     coefficients: np.ndarray
 
     def __post_init__(self):
-        coeffs = np.array(self.coefficients, dtype=float)
-        if coeffs.shape != (len(self.basis.index_set),):
-            raise ValueError("one coefficient per basis function required")
-        coeffs = _as_values(coeffs, len(coeffs), "coefficients")
+        shape = (len(self.basis.index_set),)
+        coeffs = np.array(_as_finite(self.coefficients, "coefficients", shape))
         object.__setattr__(self, "coefficients", coeffs)
         self.coefficients.setflags(write=False)
 
@@ -56,18 +54,6 @@ class Surrogate:
         densities = tuple(DensitySpec(k) for k in data["densities"])
         basis = ProductBasis.for_density(densities, index_set)
         return cls(basis=basis, coefficients=data["coefficients"])
-
-
-def _as_values(values, m: int, name: str = "values") -> np.ndarray:
-    """values as an (m,) float array; another shape or the first non-finite
-    entry raises ValueError naming them."""
-    vals = np.asarray(values, dtype=float)
-    if vals.shape != (m,):
-        raise ValueError(f"{name} has shape {vals.shape}, need ({m},), one per point")
-    if not np.isfinite(vals).all():
-        i = int(np.flatnonzero(~np.isfinite(vals))[0])
-        raise ValueError(f"{name} entry {i} is {vals[i]}, not finite")
-    return vals
 
 
 def _lstsq(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -91,9 +77,11 @@ def solve_weighted(
     One finite value per point; another count, a non-finite value or point,
     or a Christoffel sum that overflows or vanishes raises ValueError
     naming it."""
+    pts = _as_finite(np.atleast_2d(points), "points", ("m", basis.dimension))
+    vals = _as_finite(values, "values", (len(pts),))
     # one row pass gives the Q rows and the Christoffel sums that scale the data
-    q, k = _unit_rows(basis, points)
-    coeff = _lstsq(q, _as_values(values, len(q)) / np.sqrt(k))
+    q, k = _unit_rows(basis, pts)
+    coeff = _lstsq(q, vals / np.sqrt(k))
     return Surrogate(basis=basis, coefficients=coeff)
 
 
@@ -103,18 +91,15 @@ def solve_unweighted(
     """Plain least squares on unscaled rows; points and values are checked
     as in solve_weighted."""
     p = eval_rows(basis, points, "P")
-    coeff = _lstsq(p, _as_values(values, len(p)))
+    coeff = _lstsq(p, _as_finite(values, "values", (len(p),)))
     return Surrogate(basis=basis, coefficients=coeff)
 
 
 def eval_surrogate(surrogate: Surrogate, y):
     """Evaluate the surrogate; scalar point in, float out; batch in, array out."""
-    pts = np.asarray(y, dtype=float)
-    rows = eval_rows(surrogate.basis, pts, "P")
-    result = rows @ surrogate.coefficients
-    if pts.ndim <= 1:
-        return float(result[0])
-    return result
+    pts = _as_finite(np.atleast_2d(y), "y", ("m", surrogate.basis.dimension))
+    result = eval_rows(surrogate.basis, pts, "P") @ surrogate.coefficients
+    return float(result[0]) if np.ndim(y) <= 1 else result
 
 
 def validation_error(
@@ -130,6 +115,6 @@ def validation_error(
         raise ValueError("n_samples must be positive")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 2]))
     z = _sample_points(surrogate.basis.densities, rng, n_samples)
-    values = _as_values(target(z), n_samples, "target output")
+    values = _as_finite(target(z), "target output", (n_samples,))
     residual = values - eval_surrogate(surrogate, z)
     return float(np.sqrt(np.mean(residual * residual)))

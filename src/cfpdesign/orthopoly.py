@@ -45,6 +45,29 @@ POLE_RTOL = 1e-12
 SEARCH_BOUND = 10.0
 
 
+def _as_finite(array, name: str, shape=None) -> np.ndarray:
+    """array as a float array: the package's one check of a caller's array.
+
+    shape, if given, holds one entry per axis: a length, or a name (str)
+    for a free length. Another shape raises ValueError "{name} has shape
+    {got}, need {want}"; a non-finite entry raises ValueError naming the
+    first in C order, "{name} entry {index} is {value}, not finite" ("{name}
+    is {value}, not finite" for a scalar).
+    """
+    arr = np.asarray(array, dtype=float)
+    if shape is not None and (
+        arr.ndim != len(shape)
+        or any(not isinstance(w, str) and g != w for g, w in zip(arr.shape, shape))
+    ):
+        want = ", ".join(map(str, shape)) + ("," if len(shape) == 1 else "")
+        raise ValueError(f"{name} has shape {arr.shape}, need ({want})")
+    if not np.isfinite(arr).all():  # a whole-array test; the index only on failure
+        index = tuple(int(i) for i in np.argwhere(~np.isfinite(arr))[0])
+        where = f" entry {index[0] if len(index) == 1 else index}" if index else ""
+        raise ValueError(f"{name}{where} is {float(arr[index])}, not finite")
+    return arr
+
+
 @dataclass(frozen=True)
 class DensitySpec:
     """One coordinate's marginal probability density."""
@@ -85,9 +108,8 @@ class RecurrenceTable:
     beta: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "beta", np.array(self.beta, dtype=float))
-        if self.beta.ndim != 1:
-            raise ValueError("beta must be one-dimensional")
+        beta = np.array(_as_finite(self.beta, "beta", ("n_max",)))
+        object.__setattr__(self, "beta", beta)
         if len(self.beta) < 1:
             raise ValueError("table must cover degree at least 1")
         if not np.all(self.beta > 0.0):
@@ -119,11 +141,11 @@ def eval_phi_sequence(table: RecurrenceTable, n: int, y):
     """Evaluate phi_0 .. phi_n at y.
 
     y may be a scalar or a one-dimensional array; the result has shape
-    (n + 1,) or (n + 1, len(y)).
+    (n + 1,) or (n + 1, len(y)). A non-finite y raises ValueError naming it.
     """
     if not 0 <= n <= table.n_max:
         raise ValueError(f"degree {n} outside tabulated range 0..{table.n_max}")
-    y_arr = np.asarray(y, dtype=float)
+    y_arr = _as_finite(y, "y")
     out = np.empty((n + 1,) + y_arr.shape)
     out[0] = 1.0
     if n >= 1:
@@ -137,9 +159,7 @@ def eval_phi_sequence(table: RecurrenceTable, n: int, y):
 def eval_phi(table: RecurrenceTable, n: int, y):
     """Evaluate phi_n at y (scalar in, float out; array in, array out)."""
     seq = eval_phi_sequence(table, n, y)
-    if np.isscalar(y) or np.asarray(y).ndim == 0:
-        return float(seq[n])
-    return seq[n]
+    return float(seq[n]) if np.ndim(y) == 0 else seq[n]
 
 
 def _jacobi_eigvals(table: RecurrenceTable, n: int, shift: float) -> np.ndarray:
@@ -172,8 +192,9 @@ def r_ratio(table: RecurrenceTable, n: int, y: float) -> float:
     """Ratio phi_n(y) / phi_{n-1}(y), an extended real.
 
     Returns math.inf at the poles (the roots of phi_{n-1}); r_n maps into
-    the projective line, so the point at infinity is unsigned. Raises where
-    phi_n(y) or phi_{n-1}(y) is not finite in double precision.
+    the projective line, so the point at infinity is unsigned. Raises at a
+    non-finite y, and where phi_n(y) or phi_{n-1}(y) is not finite in
+    double precision.
     """
     if not 1 <= n <= table.n_max:
         raise ValueError(f"order {n} outside tabulated range 1..{table.n_max}")
@@ -196,8 +217,6 @@ def level_set(table: RecurrenceTable, n: int, y: float) -> np.ndarray:
     shifted row turns phi_n - r_n(y) phi_{n-1} into the order-n characteristic
     polynomial. y itself is always a member; a non-finite y or r_n(y) raises.
     """
-    if not math.isfinite(y):
-        raise ValueError(f"level set start y must be finite, got {y}")
     c = r_ratio(table, n, y)
     if math.isinf(c):
         raise ValueError(
@@ -311,10 +330,8 @@ def quadrature_exactness_report(
     The weights 1/K(z) of a level-set rule integrate every phi_m with
     m <= 2 N - 2 exactly (one degree more when the set is the Gauss rule).
     """
-    nodes = np.asarray(nodes, dtype=float)
-    kvals = np.asarray(christoffel_values, dtype=float)
-    if nodes.shape != kvals.shape or nodes.ndim != 1:
-        raise ValueError("nodes and christoffel_values must match in shape")
+    nodes = _as_finite(nodes, "nodes", ("m",))
+    kvals = _as_finite(christoffel_values, "christoffel_values", nodes.shape)
     if max_degree > table.n_max:
         raise ValueError("table too short for the requested report")
     weights = 1.0 / kvals

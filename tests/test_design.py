@@ -13,8 +13,9 @@ CFP's first step is an exact tie that needs no tie window, both methods
 select on one evaluation of plain rows and weigh them by the Christoffel
 sums that christoffel returns, only the weighted paths sum K, overflowing
 Christoffel sums are named, and pivots and traces do not depend on the
-shortlist or row-block sizes. Repeated candidates are checked against
-selection on the distinct ones.
+shortlist or row-block sizes, at W = 495 (uniform d=10 HC 8) too, where
+the pivots also match LAPACK's column-pivoted QR. Repeated candidates are
+checked against selection on the distinct ones.
 Hypothesis properties cover the Hadamard-bounded trace and invariance under
 candidate permutations. Ensemble draws are checked against their target
 laws by KS statistics frozen for fixed seeds, plus an in-test rejection
@@ -29,6 +30,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import stats
+from scipy.linalg.lapack import dgeqp3
 
 from cfpdesign import (
     CandidateSet,
@@ -124,7 +126,8 @@ def test_candidate_set_validation():
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_candidate_set_rejects_non_finite_points(bad):
     points = np.array([[0.1, 0.2], [0.3, 0.4], [0.5, bad], [bad, 0.0]])
-    with pytest.raises(ValueError, match="candidate point 2 is not finite"):
+    message = rf"^points entry \(2, 1\) is {bad}, not finite$"
+    with pytest.raises(ValueError, match=message):
         manual_candidates(points, UNIFORM)
 
 
@@ -641,12 +644,16 @@ def _curve_candidates():
     return manual_candidates(np.column_stack([t, t**3]), UNIFORM)
 
 
+def _study_trial0(config, degree, method):
+    """The study's trial-0 selection at one degree, from its candidate seed."""
+    _, lam_tilde, m_points = _degree_setup(config, degree)
+    seed = _derive_seed(0, _STREAM_CANDIDATES, _METHOD_ID[method], degree, 0)
+    return _select(config, method, lam_tilde, m_points, seed)
+
+
 def _study_td15(density, method):
     """The study's trial-0 TD 15 selection (10k candidates, M = 143)."""
-    config = StudyConfig(family=density.kind)
-    _, lam_tilde, m_points = _degree_setup(config, 15)
-    seed = _derive_seed(0, _STREAM_CANDIDATES, _METHOD_ID[method], 15, 0)
-    return _select(config, method, lam_tilde, m_points, seed)
+    return _study_trial0(StudyConfig(family=density.kind), 15, method)
 
 
 @pytest.mark.parametrize("density", [UNIFORM, GAUSSIAN], ids=["uniform", "gaussian"])
@@ -812,6 +819,51 @@ def test_selection_does_not_depend_on_tuning_constants(
     outcomes = _tuning_slice_outcomes()
     assert outcomes == default_tuning_outcomes
     assert outcomes[-1] == "candidate rows reached rank 18 before 28 pivots"
+
+
+# uniform d=10 HC 8, 10k candidates: W = M = 495, wider than the d = 2
+# studies, so shortlists of 128 and 512 rows run out before the selection ends
+W495 = StudyConfig(dimension=10, rule="HC")
+
+
+@pytest.fixture(scope="module")
+def w495_selections():
+    return {method: _study_trial0(W495, 8, method) for method in ("CFP", "AFP")}
+
+
+@pytest.mark.parametrize("method", ["CFP", "AFP"])
+def test_w495_pivots_match_lapack_pivoted_qr(method, w495_selections):
+    """LAPACK's column-pivoted QR (xGEQP3) on the transposed rows is the same
+    greedy with no tie window. AFP agrees from step 0. CFP's step 0 is an
+    exact tie at unit norm, so its first pick is projected out of every Q
+    row, and xGEQP3 on the rest gives the remaining picks."""
+    result = w495_selections[method]
+    _, lam_tilde, _ = _degree_setup(W495, 8)
+    cands = candidate_set(UNIFORM, 10, 10_000, lam_tilde.max_degree, result.seed)
+    basis = ProductBasis.for_density(UNIFORM, lam_tilde)
+    v = eval_rows(basis, cands.points, result.space)
+    pivots = np.array(result.pivot_order)
+    if method == "CFP":
+        u = v[pivots[0]] / np.linalg.norm(v[pivots[0]])
+        v -= np.outer(v @ u, u)
+        v[pivots[0]] = 0.0
+        pivots = pivots[1:]
+    # v.T is the F-ordered view of the C-ordered rows: LAPACK copies nothing
+    _, jpvt, _, _, info = dgeqp3(v.T)
+    assert info == 0
+    np.testing.assert_array_equal(jpvt[: len(pivots)] - 1, pivots)
+
+
+@pytest.mark.parametrize("shortlist_rows", [128, 512, 2048])
+@pytest.mark.parametrize("method", ["CFP", "AFP"])
+def test_w495_selection_does_not_depend_on_the_shortlist(
+    method, shortlist_rows, w495_selections, monkeypatch
+):
+    monkeypatch.setattr(design, "SHORTLIST_ROWS", shortlist_rows)
+    got = _study_trial0(W495, 8, method)
+    expected = w495_selections[method]
+    assert got.pivot_order == expected.pivot_order
+    assert got.objective_trace.tobytes() == expected.objective_trace.tobytes()
 
 
 def test_selection_validation():

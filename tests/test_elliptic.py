@@ -169,7 +169,8 @@ def test_bad_points_past_the_first_block_rejected():
     with pytest.raises(ValueError, match="not positive"):
         solve_bvp_batch(STUDY_BVP, ys)
     ys[BLOCK_ROWS + 3, 1] = math.nan
-    with pytest.raises(ValueError, match=f"parameter point {BLOCK_ROWS + 3} is not finite"):
+    message = rf"^y entry \({BLOCK_ROWS + 3}, 1\) is nan, not finite$"
+    with pytest.raises(ValueError, match=message):
         solve_bvp_batch(STUDY_BVP, ys)
 
 
@@ -237,13 +238,13 @@ def test_nonfinite_parameters_rejected(bad):
     ys = np.zeros((4, 2))
     ys[2, 1] = bad
     ys[3, 0] = bad
-    with pytest.raises(ValueError, match="parameter point 2 is not finite"):
+    with pytest.raises(ValueError, match=rf"^y entry \(2, 1\) is {bad}, not finite$"):
         solve_bvp_batch(cfg, ys)
 
 
 def test_parameter_dimension_mismatch():
     cfg = EllipticConfig(dimension=2, grid_points=101)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^y has shape \(4, 3\), need \(n, 2\)$"):
         solve_bvp_batch(cfg, np.zeros((4, 3)))
 
 
