@@ -173,12 +173,13 @@ def _run_design(args: argparse.Namespace) -> int:
     config = _study_config(args, degrees=(args.degree,))
     method = args.method.upper()
     lam, lam_tilde, m_points = _degree_setup(config, args.degree, args.samples)
-    # a request whose fit cannot run fails before anything is selected or written
-    if args.fit is not None:
-        target = resolve_target(config, args.fit)
-        if m_points < len(lam):
-            raise ValueError(f"need at least {len(lam)} samples, got {m_points}")
+    # a target the family cannot take fails before the selection, and a fit
+    # that cannot run fails before anything is written
+    target = None if args.fit is None else resolve_target(config, args.fit)
     result = _select(config, method, lam_tilde, m_points, config.seed)
+    if target is not None:
+        basis = ProductBasis.for_density(config.density, lam)
+        surrogate = _solver(method)(basis, result.points, target(result.points))
     payload = result.to_json()
     payload["config"].update(
         {
@@ -192,9 +193,7 @@ def _run_design(args: argparse.Namespace) -> int:
     )
     _write(args.output, _json_text(payload))
 
-    if args.fit is not None:
-        basis = ProductBasis.for_density(config.density, lam)
-        surrogate = _solver(method)(basis, result.points, target(result.points))
+    if target is not None:
         fit_payload = surrogate.to_json()
         fit_payload["target"] = args.fit
         fit_payload["version"] = __version__

@@ -7,7 +7,7 @@ selected rows is largest, orthogonalizes its row against the chosen
 directions, which multiplies the running determinant modulus by that
 weighted residual norm, and downdates every weighted square along the new
 direction. AFP weighs every row by 1. CFP weighs it by 1/K, K the Christoffel
-sum the row kernel returns with the rows, which gives unit-norm residuals.
+sum of the plain row, which gives unit-norm residuals.
 The loop runs in blocks. Squared residuals never increase, so the rows with
 the largest ones form a shortlist that no other row can overtake while the
 next pick stays clear of the largest square left out; the steps of a block
@@ -220,13 +220,12 @@ def _window_pick(sq: np.ndarray) -> tuple[int, float]:
 
 
 def _recompute_low(
-    v: np.ndarray, w: np.ndarray, sq: np.ndarray, floor: np.ndarray, q: np.ndarray,
-    low: np.ndarray,
+    v: np.ndarray, w: np.ndarray, sq: np.ndarray, floor: np.ndarray, q: np.ndarray
 ) -> None:
     """Weighted squares below their floor recomputed from v's rows, weighted
-    by w, against the directions q in row blocks, so no temporary the size
-    of v appears; low is a bool buffer the size of sq."""
-    if np.less(sq, floor, out=low).any():
+    by w, against the directions q, one row block of v at a time."""
+    low = sq < floor
+    if low.any():
         rows = np.flatnonzero(low)
         for part in _row_blocks(rows.size, v.shape[1]):
             blk = rows[part]
@@ -265,8 +264,6 @@ def _greedy_pivot_qr(
     size = min(len(v), SHORTLIST_ROWS)
     # one buffer holds every block's shortlist rows, so two never coexist
     shortlist = np.empty((size + 1, v.shape[1]))
-    c = np.empty(size + 1)
-    low = np.empty(len(v), dtype=bool)
     running_det = 1.0
     while True:
         j = _window_pick(sq)[0]
@@ -299,20 +296,16 @@ def _greedy_pivot_qr(
             k += 1
             if k == m_points:  # the residuals after the last pick are never read
                 return pivots, trace
-            cs = c[: len(vs)]
-            np.matmul(vs, q[k - 1], out=cs)
-            np.multiply(cs, cs, out=cs)
-            cs *= ws
-            sqs -= cs
+            sqs -= np.square(vs @ q[k - 1]) * ws
             sqs[j] = floors[j] = -math.inf  # never picked nor recomputed again
-            _recompute_low(vs, ws, sqs, floors, q[:k], low[: len(vs)])
+            _recompute_low(vs, ws, sqs, floors, q[:k])
         # block end: the rows outside the shortlist catch up on its directions
         for blk in _row_blocks(len(v), k - start):
             cb = v[blk] @ q[start:k].T
             sq[blk] -= w[blk] * np.einsum("ij,ij->i", cb, cb)
         sq[rows] = sqs
         floor[rows] = floors
-        _recompute_low(v, w, sq, floor, q[:k], low)
+        _recompute_low(v, w, sq, floor, q[:k])
 
 
 def _selection_basis(

@@ -101,6 +101,7 @@ def solve_bvp_batch(config: EllipticConfig, y: np.ndarray) -> np.ndarray:
     modes = _modes(config, x)
     flux = 1.0 - 2.0 * x
     u = np.empty(len(y2))
+    # u's last bits follow ROW_BLOCK_VALUES, through each block's BLAS product shape
     for blk in _row_blocks(len(y2), len(x)):
         kappa = _kappa(config, modes, y2[blk])
         if kappa.min() <= 0.0:

@@ -328,10 +328,14 @@ def quadrature_exactness_report(
     """Errors |sum_z phi_m(z)/K(z) - delta_{m,0}| for m = 0 .. max_degree.
 
     The weights 1/K(z) of a level-set rule integrate every phi_m with
-    m <= 2 N - 2 exactly (one degree more when the set is the Gauss rule).
+    m <= 2 N - 2 exactly (one degree more when the set is the Gauss rule);
+    a Christoffel value that is not positive raises ValueError naming it.
     """
     nodes = _as_finite(nodes, "nodes", ("m",))
     kvals = _as_finite(christoffel_values, "christoffel_values", nodes.shape)
+    if not (kvals > 0.0).all():
+        i = int(np.argmax(kvals <= 0.0))
+        raise ValueError(f"christoffel_values entry {i} is {kvals[i]}, not positive")
     if max_degree > table.n_max:
         raise ValueError("table too short for the requested report")
     weights = 1.0 / kvals

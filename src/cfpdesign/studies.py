@@ -130,16 +130,11 @@ def _derive_seed(*parts: int) -> int:
 
 def _degree_setup(config: StudyConfig, degree: int, m_points: int | None = None):
     """(lam, enriched lam_tilde, M) for one degree; M defaults to
-    ceil(oversampling * N) and must fit in the candidate budget."""
+    ceil(oversampling * N), and the selection checks it against its candidates."""
     build = total_degree if config.rule == "TD" else hyperbolic_cross
     lam = build(config.dimension, degree)
     if m_points is None:
         m_points = math.ceil(config.oversampling * len(lam))
-    if m_points > config.candidates:
-        raise ValueError(
-            f"degree {degree} needs {m_points} samples but only "
-            f"{config.candidates} candidates"
-        )
     lam_tilde = enrich(lam, m_points - len(lam)) if m_points > len(lam) else lam
     return lam, lam_tilde, m_points
 
@@ -378,8 +373,6 @@ def config_echo(config: StudyConfig, **extra) -> dict:
 
 
 def _format_cell(value) -> str:
-    if isinstance(value, bool):
-        return str(value)
     if isinstance(value, float):
         return repr(value)
     return str(value)

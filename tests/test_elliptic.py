@@ -18,6 +18,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.linalg import solve_banded
 
+from cfpdesign import basis as basis_module
 from cfpdesign import EllipticConfig, diffusivity, solve_bvp, solve_bvp_batch
 from cfpdesign.basis import ROW_BLOCK_VALUES
 from cfpdesign.cli import main
@@ -161,6 +162,21 @@ def test_blocked_solve_matches_unblocked_sum(n):
     assert u.shape == (n,)
     # BLAS may sum each row's product in another order for another block size
     np.testing.assert_allclose(u, _unblocked_flux_sum(STUDY_BVP, ys), rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("block_values", [2**10, 2**12, 2**21])
+def test_solve_depends_on_the_row_block_size_only_in_rounding(
+    block_values, monkeypatch
+):
+    """The one output whose bits follow ROW_BLOCK_VALUES: each block's
+    product sums its rows in an order the BLAS picks for that shape. At 2^10
+    most of the 5000 values move, by at most 1.5e-15 relative."""
+    ys = np.random.default_rng(0).uniform(-1.0, 1.0, (5000, 2))
+    default = solve_bvp_batch(STUDY_BVP, ys)
+    monkeypatch.setattr(basis_module, "ROW_BLOCK_VALUES", block_values)
+    np.testing.assert_allclose(
+        solve_bvp_batch(STUDY_BVP, ys), default, rtol=1e-14, atol=0.0
+    )
 
 
 def test_bad_points_past_the_first_block_rejected():

@@ -1,19 +1,22 @@
 """Bad input table: non-finite points, values, coefficients, recurrence
 weights, 1-D arguments, nodes and Christoffel values, value counts that do
-not match the points, and arrays of another shape.
+not match the points, arrays of another shape, and Christoffel values that
+are not positive.
 
 Every case raises ValueError naming the argument and its first bad index
-("{name} entry {index} is {value}, not finite"), or its shape and the one
-it needs ("{name} has shape {got}, need {want}"), before any numpy warning
-or LAPACK message: stderr stays empty. All of them go through one check,
-orthopoly._as_finite. Without the checks a NaN point came back as a NaN
-row, a NaN value as all-NaN coefficients, solve_unweighted printed two
-DLASCL lines before a LinAlgError, a surrogate with a NaN coefficient
-(built directly or read back from JSON) evaluated to NaN, eval_phi,
-eval_phi_sequence, quadrature_exactness_report and diffusivity returned
-NaN, r_ratio blamed an overflowing phi for a non-finite y, and a
-three-dimensional point array failed inside numpy with a broadcast or
-dimension message.
+("{name} entry {index} is {value}, not finite", or "not positive"), or its
+shape and the one it needs ("{name} has shape {got}, need {want}"), before
+any numpy warning or LAPACK message: stderr stays empty. All but the
+positivity cases go through one check, orthopoly._as_finite. Without the
+checks a NaN point came back as a NaN row, a NaN value as all-NaN
+coefficients, solve_unweighted printed two DLASCL lines before a
+LinAlgError, a surrogate with a NaN coefficient (built directly or read
+back from JSON) evaluated to NaN, eval_phi, eval_phi_sequence,
+quadrature_exactness_report and diffusivity returned NaN, r_ratio blamed
+an overflowing phi for a non-finite y, and a three-dimensional point array
+failed inside numpy with a broadcast or dimension message. A zero
+Christoffel value in quadrature_exactness_report made numpy warn of a
+division by zero, and a negative one went through.
 """
 
 import json
@@ -305,3 +308,13 @@ def test_value_count_must_match_the_points(call, message, capfd):
 @pytest.mark.parametrize("call, message", SHAPE_CASES)
 def test_array_of_another_shape_is_named(call, message, capfd):
     _raises_quietly(call, message, capfd)
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0], ids=str)
+def test_christoffel_value_that_is_not_positive_is_named(value, capfd):
+    kvals = _with(1.0 / WEIGHTS, value)
+    _raises_quietly(
+        lambda: quadrature_exactness_report(TABLE, NODES, kvals, 8),
+        rf"^christoffel_values entry {BAD} is {value}, not positive$",
+        capfd,
+    )

@@ -123,9 +123,20 @@ def test_hyperbolic_cross_study_runs():
 
 
 def test_candidate_budget_guard():
+    """The selection owns the check; the sweep names the cell."""
     cfg = StudyConfig(degrees=(5,), trials=1, candidates=10)
-    with pytest.raises(ValueError, match="needs"):
+    message = "^CFP degree 5 trial 0: only 10 candidates for 23 points$"
+    with pytest.raises(ValueError, match=message):
         study_condition(cfg)
+
+
+def test_mc_only_study_needs_no_candidate_budget():
+    """Monte Carlo cells draw their points directly, with no candidates."""
+    cfg = StudyConfig(degrees=(4,), trials=1, candidates=10, methods=("MC",))
+    records = study_condition(cfg)
+    assert [(r["method"], r["M"], r["stat"]) for r in records] == [
+        ("MC", 16, "mean"), ("MC", 16, "q20"), ("MC", 16, "q80"),
+    ]
 
 
 def test_resolve_target():
