@@ -35,6 +35,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+try:
+    import resource
+except ImportError:  # not on Windows, which has no address-space limit
+    resource = None
+
 from .basis import (
     ProductBasis,
     RankDeficientError,
@@ -70,6 +75,10 @@ RECOMPUTE_RATIO = math.sqrt(np.finfo(float).eps)
 # squared residuals: 1024 rows of the widest study rows (143 values) hold
 # 1.2 MB, so each step's matvec reads them from L2
 SHORTLIST_ROWS = 1024
+# address space a selection maps beyond its float64 arrays: the BLAS work
+# buffer (32 MB in OpenBLAS) and row-block temporaries took 33-34 MB under
+# `ulimit -v` at degrees 30 and 60
+SELECTION_SLACK_BYTES = 64 << 20
 
 REFERENCE_MAX_CANDIDATES = 1000
 ORACLE_MAX_SUBSETS = 10**6
@@ -327,7 +336,35 @@ def _selection_basis(
         )
     if m_points > len(candidates):
         raise ValueError(f"only {len(candidates)} candidates for {m_points} points")
+    # the pivot loop's rows, directions and shortlist, in float64; the
+    # diagnostics' rows and SVD copy, 2 M W, fit in the space of the first two
+    rows = len(candidates) + m_points + min(len(candidates), SHORTLIST_ROWS) + 1
+    _check_memory(8 * len(index_set) * rows + SELECTION_SLACK_BYTES)
     return ProductBasis.for_density(candidates.densities, index_set)
+
+
+def _check_memory(need: int) -> None:
+    """Raise ValueError when need bytes exceed what the soft address-space
+    limit (RLIMIT_AS) leaves the process: the limit less the mapped size,
+    read from /proc/self/statm when a limit is set. Without /proc the whole
+    limit counts as left."""
+    if resource is None:
+        return
+    limit = resource.getrlimit(resource.RLIMIT_AS)[0]
+    if limit == resource.RLIM_INFINITY:
+        return
+    try:
+        with open("/proc/self/statm") as statm:
+            left = limit - int(statm.read().split()[0]) * resource.getpagesize()
+    except OSError:
+        left = limit
+    if need > left:
+        raise ValueError(
+            f"the selection needs {need / 1e9:.2f} GB, more than the "
+            f"{max(left, 0) / 1e9:.2f} GB left under the process's "
+            "address-space limit; use fewer candidates (--candidates) or a "
+            "lower degree (--degree)"
+        )
 
 
 def _design_result(
@@ -374,6 +411,7 @@ def _qr_select(
     # rounded from K * (1/K), so its first step is an exact tie
     w, sq = (1.0 / k, np.ones(len(v))) if space == "Q" else (np.ones(len(v)), k)
     pivots, trace = _greedy_pivot_qr(v, m_points, sq, w)
+    del v  # the diagnostics' arrays take its place (see _selection_basis)
     return _design_result(candidates, basis, space, pivots, trace)
 
 

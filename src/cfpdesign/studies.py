@@ -171,6 +171,29 @@ def _design_points(
     return _select(config, method, lam_tilde, m_points, cand_seed).points
 
 
+def _quantiles_20_80(values: np.ndarray) -> tuple[float, float]:
+    """np.quantile(values, [0.2, 0.8]) bit for bit, NaN aside, without the
+    np.unique call through which numpy's first quantile imports numpy.ma.
+
+    numpy's default linear rule: at the virtual index h = (n - 1) q of the
+    sorted values, i = floor(h) and t = h - i; numpy's lerp then takes
+    a + (b - a) t below t = 1/2 and b - (b - a)(1 - t) from there. Only a
+    single trial has no value above i, and it takes its one value for both
+    ends. As in numpy, an end at inf gives nan, here without a
+    floating-point warning.
+    """
+    ordered = np.sort(values)
+    last = len(ordered) - 1
+    out = []
+    for q in (0.2, 0.8):
+        h = last * q
+        i = math.floor(h)
+        t = h - i
+        a, b = float(ordered[i]), float(ordered[min(i + 1, last)])
+        out.append(a + (b - a) * t if t < 0.5 else b - (b - a) * (1 - t))
+    return out[0], out[1]
+
+
 def _sweep(config: StudyConfig, trial_value) -> list[dict]:
     """Mean and 20%/80% quantiles of trial_value over `trials` repetitions,
     one cell per (method, degree).
@@ -195,7 +218,7 @@ def _sweep(config: StudyConfig, trial_value) -> list[dict]:
                 except ValueError as exc:
                     where = f"{method} degree {degree} trial {trial}"
                     raise type(exc)(f"{where}: {exc}") from exc
-            q20, q80 = np.quantile(values, [0.2, 0.8])
+            q20, q80 = _quantiles_20_80(values)
             cell = {"method": method, "degree": degree, "N": len(lam), "M": m_points}
             for stat, value in (("mean", values.mean()), ("q20", q20), ("q80", q80)):
                 records.append({**cell, "stat": stat, "value": float(value)})

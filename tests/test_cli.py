@@ -5,6 +5,7 @@ stdout is captured. Reruns with the same options must produce identical
 bytes, since the CSV text is part of the reproducibility contract.
 """
 
+import io
 import json
 
 import pytest
@@ -20,6 +21,7 @@ from cfpdesign import (
     hyperbolic_cross,
     total_degree,
 )
+from cfpdesign import design
 from cfpdesign.cli import _build_parser, main
 
 
@@ -268,6 +270,24 @@ def test_config_file_missing(capsys):
 def test_design_with_too_few_candidates(capsys):
     assert main(["design", "--samples", "50", "--candidates", "10"]) == 2
     assert "only" in capsys.readouterr().err
+
+
+@pytest.mark.skipif(design.resource is None, reason="no address-space limit")
+def test_design_beyond_the_address_space_limit_exits_2(monkeypatch, capsys):
+    """At degree 120 (W = 7751, M = 7751) the rows of 20000 candidates take
+    1.24 GB and the whole selection 1.85 GB: under a 1.5 GB limit the
+    request is refused with one error line before a row is evaluated."""
+    monkeypatch.setattr(design.resource, "getrlimit", lambda which: (1_500_000_000, -1))
+    monkeypatch.setattr(design, "open", lambda path: io.StringIO("0\n"), raising=False)
+    monkeypatch.setattr(design, "_rows", lambda *args: pytest.fail("rows evaluated"))
+    assert main(["design", "--degree", "120", "--candidates", "20000", "-o", "-"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: the selection needs 1.85 GB, more than the 1.50 GB left under "
+        "the process's address-space limit; use fewer candidates (--candidates) "
+        "or a lower degree (--degree)\n"
+    )
 
 
 @pytest.mark.parametrize(

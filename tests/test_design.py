@@ -22,6 +22,7 @@ laws by KS statistics frozen for fixed seeds, plus an in-test rejection
 sampler for the ball law.
 """
 
+import io
 import math
 import warnings
 
@@ -620,6 +621,41 @@ def test_rank_deficient_candidates_raise():
     cands = manual_candidates(np.column_stack([t, t]), UNIFORM)
     with pytest.raises(RankDeficientError, match="rank 2"):
         cfp_select(cands, total_degree(2, 1), 3)
+
+
+def _address_space(monkeypatch, limit, mapped_pages):
+    """Patch the soft address-space limit to limit bytes and the mapped size
+    that /proc/self/statm reports to mapped_pages."""
+    def statm(path):
+        assert path == "/proc/self/statm"
+        return io.StringIO(f"{mapped_pages} 0 0 0 0 0 0\n")
+
+    monkeypatch.setattr(design.resource, "getrlimit", lambda which: (limit, -1))
+    monkeypatch.setattr(design, "open", statm, raising=False)
+
+
+@pytest.mark.skipif(design.resource is None, reason="no address-space limit")
+@pytest.mark.parametrize("select", [cfp_select, afp_select])
+def test_selection_checks_memory_before_any_row(select, monkeypatch):
+    """Rows, directions and shortlist take 8 W (m + M + min(m, 1024) + 1)
+    bytes, here 8 * 15 * (200 + 15 + 200 + 1), and the BLAS buffer and
+    row-block temporaries 64 MB more. They must fit in the limit less the
+    mapped size; one byte short, no row is evaluated."""
+    cands = candidate_set(UNIFORM, 2, 200, 4, seed=0)
+    lam = total_degree(2, 4)
+    need = 8 * 15 * (200 + 15 + 200 + 1) + 64 * 2**20
+    page = design.resource.getpagesize()
+    _address_space(monkeypatch, need + 3 * page, 3)
+    assert len(select(cands, lam, 15).points) == 15
+    _address_space(monkeypatch, need + 3 * page - 1, 3)
+    monkeypatch.setattr(design, "_rows", lambda *args: pytest.fail("rows evaluated"))
+    message = (
+        r"^the selection needs 0\.07 GB, more than the 0\.07 GB left under "
+        r"the process's address-space limit; use fewer candidates "
+        r"\(--candidates\) or a lower degree \(--degree\)$"
+    )
+    with pytest.raises(ValueError, match=message):
+        select(cands, lam, 15)
 
 
 @pytest.mark.parametrize("shortlist_rows", [512, 1024, 2048])

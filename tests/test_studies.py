@@ -25,6 +25,7 @@ from cfpdesign import (
     verify_oned,
 )
 from cfpdesign import __version__
+from cfpdesign.studies import _quantiles_20_80
 
 
 def test_study_config_validation():
@@ -74,6 +75,24 @@ def test_condition_study_schema():
     for cell in by_cell.values():
         assert set(cell) == {"mean", "q20", "q80"}
         assert cell["q20"] <= cell["q80"]
+
+
+def test_sweep_quantiles_equal_numpy_bit_for_bit():
+    """The sweep's q20/q80 are numpy's default linear quantiles, float64
+    bytes and all, for every trial count up to 60: seeded draws over
+    sixteen decades, draws with repeated values, and an infinite
+    condition number at the top, where numpy's lerp gives nan."""
+    rng = np.random.default_rng(26)
+    for n in range(1, 61):
+        spread = 10.0 ** rng.uniform(-8.0, 8.0, size=(40, n))
+        repeated = rng.choice(spread[0, : max(1, n // 4)], size=(20, n))
+        singular = spread[:5].copy()
+        singular[:, -1] = math.inf
+        for values in (*spread, *repeated, *singular):
+            with np.errstate(invalid="ignore"):
+                expected = np.quantile(values, [0.2, 0.8])
+            got = np.array(_quantiles_20_80(values))
+            assert got.tobytes() == expected.tobytes(), (n, values)
 
 
 def test_trivial_degree_error_is_the_target_sd():
