@@ -43,6 +43,14 @@ SINGULAR_FLOOR = 1e-300
 # elliptic solve): 256 KB, so a block's temporaries stay in the L2 cache and
 # no temporary the size of the whole batch is allocated
 ROW_BLOCK_VALUES = 2**15
+# points per chunk of _rows's recurrence sequences, which are all that sits
+# beside the rows. At 10k points (2-core Xeon, best median of four rounds)
+# _rows took 4.4, 3.8 and 18.1 ms at uniform d=2 TD 15, Gaussian d=4 HC 8
+# and 1-D Gaussian degree 300 (3.9, 3.2 and 22.7 ms with whole-batch
+# sequences), and its tracemalloc peak was 1.12, 1.25 and 1.42 times the
+# rows (1.26, 1.54 and 2.01); 2048 points took 4.6, 4.1 and 19.6 ms for
+# 1.07, 1.15 and 1.22, and 1024 points were slower again
+RECURRENCE_CHUNK_POINTS = 4096
 # log of the largest finite float
 LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
@@ -101,30 +109,38 @@ def _row_blocks(m: int, width: int):
 
 
 def _rows(basis: ProductBasis, pts: np.ndarray) -> np.ndarray:
-    """Plain rows at checked (m, d) points, shape (m, N), C-ordered, built in
-    row blocks.
+    """Plain rows at checked (m, d) points, shape (m, N), C-ordered, built
+    one chunk of RECURRENCE_CHUNK_POINTS points at a time, in row blocks.
 
-    Each coordinate's recurrence values stay in the layout eval_phi_sequence
-    returns, (deg+1, m). A row block gathers whole sequence rows,
-    seqs[j][idx[:, j], blk], and multiplies them in coordinate order into an
-    (N, b) product, built in the block's own memory of the one C-ordered
-    (m, N) output; its transpose is copied back over it as the block's rows.
+    A chunk's recurrence values stay in the layout eval_phi_sequence
+    returns, (deg+1, c) per coordinate, and are dropped before the next
+    chunk's are evaluated, so the output is the one array of the whole
+    batch. A row block gathers whole sequence rows, seqs[j][idx[:, j], blk],
+    and multiplies them in coordinate order into an (N, b) product, built in
+    the block's own memory of the one C-ordered (m, N) output; its transpose
+    is copied back over it as the block's rows. The recurrence is
+    elementwise, so a row's bits do not depend on the chunk it falls in.
     Christoffel row sums and the pivot matvec add in memory order, so layout
     sets bits.
     """
     idx = np.asarray(basis.index_set.indices, dtype=int)
+    degrees = idx.max(axis=0).tolist()
     m, n = len(pts), len(idx)
-    seqs = [
-        eval_phi_sequence(t, int(idx[:, j].max()), pts[:, j])
-        for j, t in enumerate(basis.tables)
-    ]
     rows = np.empty((m, n))
-    for blk in _row_blocks(m, n):
-        prod = rows[blk].reshape(n, blk.stop - blk.start)
-        prod[...] = seqs[0][idx[:, 0], blk]
-        for j in range(1, len(seqs)):
-            prod *= seqs[j][idx[:, j], blk]
-        rows[blk] = prod.T.copy()
+    for start in range(0, m, RECURRENCE_CHUNK_POINTS):
+        chunk = slice(start, start + RECURRENCE_CHUNK_POINTS)
+        part = rows[chunk]
+        seqs = [
+            eval_phi_sequence(t, deg, pts[chunk, j])
+            for j, (t, deg) in enumerate(zip(basis.tables, degrees))
+        ]
+        for blk in _row_blocks(len(part), n):
+            prod = part[blk].reshape(n, blk.stop - blk.start)
+            prod[...] = seqs[0][idx[:, 0], blk]
+            for j in range(1, len(seqs)):
+                prod *= seqs[j][idx[:, j], blk]
+            part[blk] = prod.T.copy()
+        del seqs  # before the next chunk's sequences, not after them
     return rows
 
 
@@ -166,8 +182,9 @@ def _unit_rows(basis: ProductBasis, pts: np.ndarray):
 def eval_rows(basis: ProductBasis, points, space: str) -> np.ndarray:
     """Basis rows at many points, shape (m, N), C-ordered. space is "P" or "Q".
 
-    Rows are evaluated in blocks sized by ROW_BLOCK_VALUES and written
-    into the one output array, so no other temporary of its size appears.
+    Rows are evaluated in blocks sized by ROW_BLOCK_VALUES, from recurrences
+    run on RECURRENCE_CHUNK_POINTS points at a time, and written into the
+    one output array, so no other temporary of its size appears.
     Points of another width or a non-finite coordinate raise ValueError
     naming them. Q rows need a positive finite Christoffel sum at every
     point; a sum that overflowed or vanished raises ValueError naming the

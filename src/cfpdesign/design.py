@@ -41,6 +41,7 @@ except ImportError:  # not on Windows, which has no address-space limit
     resource = None
 
 from .basis import (
+    RECURRENCE_CHUNK_POINTS,
     ProductBasis,
     RankDeficientError,
     _check_sums,
@@ -336,10 +337,15 @@ def _selection_basis(
         )
     if m_points > len(candidates):
         raise ValueError(f"only {len(candidates)} candidates for {m_points} points")
-    # the pivot loop's rows, directions and shortlist, in float64; the
-    # diagnostics' rows and SVD copy, 2 M W, fit in the space of the first two
-    rows = len(candidates) + m_points + min(len(candidates), SHORTLIST_ROWS) + 1
-    _check_memory(8 * len(index_set) * rows + SELECTION_SLACK_BYTES)
+    # the pivot loop's rows, directions and shortlist, and one chunk of the
+    # rows' recurrence sequences, in float64; the diagnostics' rows and SVD
+    # copy, 2 M W, fit in the space of the first two
+    m = len(candidates)
+    rows = m + m_points + min(m, SHORTLIST_ROWS) + 1
+    seqs = min(m, RECURRENCE_CHUNK_POINTS) * sum(
+        deg + 1 for deg in index_set.degrees_by_coordinate()
+    )
+    _check_memory(8 * (len(index_set) * rows + seqs) + SELECTION_SLACK_BYTES)
     return ProductBasis.for_density(candidates.densities, index_set)
 
 
@@ -373,12 +379,12 @@ def _design_result(
     space: str,
     pivots: np.ndarray,
     trace: np.ndarray,
+    rows: np.ndarray,
 ) -> DesignResult:
-    """DesignResult for pivots into the candidate list. Their rows in space
-    are evaluated again, equal bit for bit to the rows of every candidate at
-    those points, and m_points <= N, so both diagnostics come from one SVD."""
+    """DesignResult for pivots into the candidate list, whose rows in space
+    are rows; m_points <= N, so both diagnostics come from one SVD."""
     points = candidates.points[pivots]
-    det, cond = _det_and_cond(eval_rows(basis, points, space))
+    det, cond = _det_and_cond(rows)
     return DesignResult(
         points=points,
         pivot_order=tuple(int(i) for i in pivots),
@@ -411,8 +417,11 @@ def _qr_select(
     # rounded from K * (1/K), so its first step is an exact tie
     w, sq = (1.0 / k, np.ones(len(v))) if space == "Q" else (np.ones(len(v)), k)
     pivots, trace = _greedy_pivot_qr(v, m_points, sq, w)
+    rows = v[pivots]
     del v  # the diagnostics' arrays take its place (see _selection_basis)
-    return _design_result(candidates, basis, space, pivots, trace)
+    if space == "Q":
+        rows /= np.sqrt(k[pivots])[:, None]  # as _unit_rows divides
+    return _design_result(candidates, basis, space, pivots, trace, rows)
 
 
 def cfp_select(
@@ -480,7 +489,7 @@ def greedy_select_reference(
         chosen.append(remaining.pop(int(tied[0])))
         trace[k] = det_modulus(v[chosen])
 
-    return _design_result(candidates, basis, space, chosen, trace)
+    return _design_result(candidates, basis, space, chosen, trace, v[chosen])
 
 
 def global_select_oracle(
@@ -513,4 +522,4 @@ def global_select_oracle(
 
     chosen = list(best_combo)
     trace = np.array([det_modulus(v[chosen[: k + 1]]) for k in range(m_points)])
-    return _design_result(candidates, basis, space, chosen, trace)
+    return _design_result(candidates, basis, space, chosen, trace, v[chosen])

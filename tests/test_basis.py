@@ -30,7 +30,7 @@ from cfpdesign import (
     solve_weighted,
     total_degree,
 )
-from cfpdesign.basis import ROW_BLOCK_VALUES
+from cfpdesign.basis import RECURRENCE_CHUNK_POINTS, ROW_BLOCK_VALUES
 
 UNIFORM = DensitySpec.uniform()
 GAUSSIAN = DensitySpec.gaussian()
@@ -120,7 +120,8 @@ def test_eval_rows_bit_equal_across_block_boundaries():
         rows_per_block = ROW_BLOCK_VALUES // len(index_set)
         degree = index_set.max_degree
         pts = candidate_set(density, index_set.dimension, 10_000, degree, seed=6).points
-        for m in (1, rows_per_block - 1, rows_per_block + 1, 10_000):
+        chunk = RECURRENCE_CHUNK_POINTS
+        for m in (1, rows_per_block - 1, rows_per_block + 1, chunk - 1, chunk + 1, 10_000):
             for space in ("P", "Q"):
                 expected = _rows_in_coordinate_order(basis, pts[:m], space)
                 assert eval_rows(basis, pts[:m], space).tobytes() == expected.tobytes()
@@ -186,12 +187,19 @@ def _traced_peak(call):
 
 @pytest.mark.parametrize("space", ["P", "Q"])
 def test_eval_rows_allocates_no_second_output_sized_array(space):
+    # beside the output only one chunk's recurrence sequences, 8 c sum(deg_j
+    # + 1) bytes for c = RECURRENCE_CHUNK_POINTS, and one row block of
+    # temporaries (256 KB); sequences of the whole batch peak at 1.26, 1.54,
+    # 2.13 and 2.01 times the output, above every bound
     for density, index_set, bound in (
-        # the output, the per-coordinate sequences and one block of temporaries
-        (UNIFORM, total_degree(2, 15), 1.5),
-        # the four (9, m) Hermite sequences alone are 0.49 of the output, and
-        # Q rows also keep their sums: one block of temporaries peaks at 1.554
-        (GAUSSIAN, hyperbolic_cross(4, 8), 1.555),
+        # two (16, c) sequences, 1.0 MB beside 10.9 MB of rows: 1.12
+        (UNIFORM, total_degree(2, 15), 1.15),
+        # four (9, c) Hermite sequences, 1.2 MB beside 6.2 MB: 1.25
+        (GAUSSIAN, hyperbolic_cross(4, 8), 1.3),
+        # narrow rows, 0.8 MB: the sequences and the block are 0.33 each: 1.66
+        (UNIFORM, total_degree(2, 3), 1.7),
+        # one (301, c) Hermite sequence, 9.9 MB beside 24.1 MB: 1.42
+        (GAUSSIAN, total_degree(1, 300), 1.45),
     ):
         basis = ProductBasis.for_density(density, index_set)
         degree = index_set.max_degree

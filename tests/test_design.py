@@ -638,24 +638,33 @@ def _address_space(monkeypatch, limit, mapped_pages):
 @pytest.mark.parametrize("select", [cfp_select, afp_select])
 def test_selection_checks_memory_before_any_row(select, monkeypatch):
     """Rows, directions and shortlist take 8 W (m + M + min(m, 1024) + 1)
-    bytes, here 8 * 15 * (200 + 15 + 200 + 1), and the BLAS buffer and
-    row-block temporaries 64 MB more. They must fit in the limit less the
-    mapped size; one byte short, no row is evaluated."""
-    cands = candidate_set(UNIFORM, 2, 200, 4, seed=0)
-    lam = total_degree(2, 4)
-    need = 8 * 15 * (200 + 15 + 200 + 1) + 64 * 2**20
+    bytes, one chunk of the rows' recurrence sequences 8 min(m, 4096)
+    sum_j (deg_j + 1) more, and the BLAS buffer and row-block temporaries
+    64 MB more. They must fit in the limit less the mapped size; one byte
+    short, no row is evaluated."""
+    cases = [
+        # d=2 TD 4, M = W = 15, m = 200: sequences of degrees 4 and 4
+        (candidate_set(UNIFORM, 2, 200, 4, seed=0), total_degree(2, 4),
+         8 * 15 * (200 + 15 + 200 + 1) + 8 * 200 * (5 + 5) + 64 * 2**20),
+        # 1-D degree 40, M = W = 41, m = 5000: one chunk of the sequence
+        (candidate_set(UNIFORM, 1, 5000, 40, seed=0), total_degree(1, 40),
+         8 * 41 * (5000 + 41 + 1024 + 1) + 8 * 4096 * 41 + 64 * 2**20),
+    ]
     page = design.resource.getpagesize()
-    _address_space(monkeypatch, need + 3 * page, 3)
-    assert len(select(cands, lam, 15).points) == 15
-    _address_space(monkeypatch, need + 3 * page - 1, 3)
+    for cands, lam, need in cases:
+        _address_space(monkeypatch, need + 3 * page, 3)
+        assert len(select(cands, lam, len(lam)).points) == len(lam)
     monkeypatch.setattr(design, "_rows", lambda *args: pytest.fail("rows evaluated"))
-    message = (
-        r"^the selection needs 0\.07 GB, more than the 0\.07 GB left under "
-        r"the process's address-space limit; use fewer candidates "
-        r"\(--candidates\) or a lower degree \(--degree\)$"
-    )
-    with pytest.raises(ValueError, match=message):
-        select(cands, lam, 15)
+    for cands, lam, need in cases:
+        _address_space(monkeypatch, need + 3 * page - 1, 3)
+        gb = f"{need / 1e9:.2f}".replace(".", r"\.")
+        message = (
+            rf"^the selection needs {gb} GB, more than the {gb} GB left under "
+            r"the process's address-space limit; use fewer candidates "
+            r"\(--candidates\) or a lower degree \(--degree\)$"
+        )
+        with pytest.raises(ValueError, match=message):
+            select(cands, lam, len(lam))
 
 
 @pytest.mark.parametrize("shortlist_rows", [512, 1024, 2048])
@@ -725,8 +734,8 @@ def test_overflowing_christoffel_sum_names_the_point(select, capfd):
 @pytest.mark.parametrize("select,space", [(cfp_select, "Q"), (afp_select, "P")])
 def test_selection_evaluates_plain_rows_once(select, space, monkeypatch):
     """Both methods select on the plain rows of every candidate, evaluated
-    once by the row kernel; only the picked points are evaluated again, in
-    the method's space, for the diagnostics."""
+    once by the row kernel; the diagnostics read the picked points' rows
+    from them, and no row is evaluated again."""
     calls = []
 
     def kernel_spy(basis, points):
@@ -740,15 +749,15 @@ def test_selection_evaluates_plain_rows_once(select, space, monkeypatch):
     monkeypatch.setattr(design, "_rows", kernel_spy)
     monkeypatch.setattr(design, "eval_rows", spy)
     lam = total_degree(2, 8)
-    select(candidate_set(UNIFORM, 2, 2000, 8, 0), lam, len(lam))
-    assert calls == [(2000, "rows"), (len(lam), space)]
+    assert select(candidate_set(UNIFORM, 2, 2000, 8, 0), lam, len(lam)).space == space
+    assert calls == [(2000, "rows")]
 
 
 def test_only_the_weighted_paths_sum_christoffel(monkeypatch):
     """basis._sums is the one sum of K, and only the paths that weight by K
     call it: plain rows, surrogate evaluation and the plain solve never do.
-    Each selection sums all its candidates once; CFP's diagnostics sum the
-    M picked points again for their unit-norm rows."""
+    Each selection sums all its candidates once; CFP's diagnostics divide
+    the picked rows by those sums."""
     calls = []
     real_sums = basis_module._sums
 
@@ -774,7 +783,7 @@ def test_only_the_weighted_paths_sum_christoffel(monkeypatch):
     assert calls == [2000]
     calls.clear()
     cfp_select(cands, lam, len(lam))
-    assert calls == [2000, len(lam)]
+    assert calls == [2000]
 
 
 class _Captured(Exception):
