@@ -73,9 +73,12 @@ RANK_RTOL = 1e-12
 # lost half its digits to cancellation (the xGEQP3 test, on squares)
 RECOMPUTE_RATIO = math.sqrt(np.finfo(float).eps)
 # the pivot loop picks from a shortlist of this many rows with the largest
-# squared residuals: 1024 rows of the widest study rows (143 values) hold
-# 1.2 MB, so each step's matvec reads them from L2
-SHORTLIST_ROWS = 1024
+# squared residuals. Its copy is the largest array the loop holds beside the
+# rows: at the widest study rows (143 values, 10k candidates) the selection's
+# tracemalloc peak above its rows is 1.62 MiB at 512 rows and 2.20 MiB at
+# 1024, while selection times at the two sizes differ by no more than the
+# spread of alternating timings (-11% to +9% at TD 5-15 and d=4 HC 8)
+SHORTLIST_ROWS = 512
 # address space a selection maps beyond its float64 arrays: the BLAS work
 # buffer (32 MB in OpenBLAS) and row-block temporaries took 33-34 MB under
 # `ulimit -v` at degrees 30 and 60

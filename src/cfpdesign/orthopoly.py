@@ -180,7 +180,11 @@ def gauss_rule(table: RecurrenceTable, n: int) -> tuple[np.ndarray, np.ndarray]:
     """
     nodes = _jacobi_eigvals(table, n, 0.0)
     seq = eval_phi_sequence(table, n - 1, nodes)
-    return nodes, 1.0 / np.sum(seq * seq, axis=0)
+    # where a sum overflows the true weight lies below 1 / DBL_MAX, under the
+    # smallest normal double, and comes back as 0.0 (Gaussian n = 400 at its
+    # 6 end nodes)
+    with np.errstate(over="ignore"):
+        return nodes, 1.0 / np.sum(seq * seq, axis=0)
 
 
 def _phi_pair(table: RecurrenceTable, n: int, y: float) -> tuple[float, float]:

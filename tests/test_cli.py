@@ -276,7 +276,7 @@ def test_design_with_too_few_candidates(capsys):
 def test_design_beyond_the_address_space_limit_exits_2(monkeypatch, capsys):
     """At degree 120 (W = 7751, M = 7751) the rows of 20000 candidates take
     1.24 GB and the whole selection, with one chunk of recurrence sequences,
-    1.86 GB: under a 1.5 GB limit the request is refused with one error line
+    1.83 GB: under a 1.5 GB limit the request is refused with one error line
     before a row is evaluated."""
     monkeypatch.setattr(design.resource, "getrlimit", lambda which: (1_500_000_000, -1))
     monkeypatch.setattr(design, "open", lambda path: io.StringIO("0\n"), raising=False)
@@ -285,7 +285,7 @@ def test_design_beyond_the_address_space_limit_exits_2(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        "error: the selection needs 1.86 GB, more than the 1.50 GB left under "
+        "error: the selection needs 1.83 GB, more than the 1.50 GB left under "
         "the process's address-space limit; use fewer candidates (--candidates) "
         "or a lower degree (--degree)\n"
     )

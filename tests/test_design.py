@@ -4,7 +4,7 @@ The lazy pivoted Cholesky selection path is checked four ways: hand-worked
 4-candidate examples with closed-form rows, exact pivot agreement with the
 literal greedy reference on random instances, pivot agreement with an
 in-test explicit-residual greedy at the 2000- and 10k-candidate sizes the
-studies use (there the loop picks in blocks from 1024-row shortlists; a
+studies use (there the loop picks in blocks from 512-row shortlists; a
 built case has a row outside the shortlist overtake it, clustered candidates
 test the cancellation recompute and the trace's digits, and a
 rank-deficient curve tests the rank floor under several shortlist sizes),
@@ -24,6 +24,7 @@ sampler for the ball law.
 
 import io
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -452,6 +453,27 @@ def test_shortlist_picked_out_starts_a_new_block(monkeypatch):
     assert pivots.tolist() == expected
 
 
+@pytest.mark.parametrize("method", ["CFP", "AFP"])
+def test_selection_holds_little_beside_its_rows(method):
+    """cond_sweep's peak cell, uniform d=2 TD 15 at 10k candidates (10.9 MiB
+    of rows, W = M = 143). The largest array the pivot loop holds beside
+    the rows is the shortlist copy, 0.56 MiB at 513 rows: the selection's
+    tracemalloc peak is 1.62 (CFP) and 1.54 MiB (AFP) above the rows, and a
+    1025-row copy (1.12 MiB) puts it at 2.20 and 2.12 MiB, above the bound."""
+    config = StudyConfig()
+    _, lam_tilde, m_points = _degree_setup(config, 15)
+    seed = _derive_seed(0, _STREAM_CANDIDATES, _METHOD_ID[method], 15, 0)
+    cands = candidate_set(UNIFORM, 2, 10_000, lam_tilde.max_degree, seed)
+    select = cfp_select if method == "CFP" else afp_select
+    tracemalloc.start()
+    try:
+        select(cands, lam_tilde, m_points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - 8 * len(cands) * len(lam_tilde) <= 1.8 * 2**20
+
+
 @st.composite
 def selection_problems(draw):
     dimension = draw(st.integers(1, 2))
@@ -637,7 +659,7 @@ def _address_space(monkeypatch, limit, mapped_pages):
 @pytest.mark.skipif(design.resource is None, reason="no address-space limit")
 @pytest.mark.parametrize("select", [cfp_select, afp_select])
 def test_selection_checks_memory_before_any_row(select, monkeypatch):
-    """Rows, directions and shortlist take 8 W (m + M + min(m, 1024) + 1)
+    """Rows, directions and shortlist take 8 W (m + M + min(m, 512) + 1)
     bytes, one chunk of the rows' recurrence sequences 8 min(m, 4096)
     sum_j (deg_j + 1) more, and the BLAS buffer and row-block temporaries
     64 MB more. They must fit in the limit less the mapped size; one byte
@@ -648,7 +670,7 @@ def test_selection_checks_memory_before_any_row(select, monkeypatch):
          8 * 15 * (200 + 15 + 200 + 1) + 8 * 200 * (5 + 5) + 64 * 2**20),
         # 1-D degree 40, M = W = 41, m = 5000: one chunk of the sequence
         (candidate_set(UNIFORM, 1, 5000, 40, seed=0), total_degree(1, 40),
-         8 * 41 * (5000 + 41 + 1024 + 1) + 8 * 4096 * 41 + 64 * 2**20),
+         8 * 41 * (5000 + 41 + 512 + 1) + 8 * 4096 * 41 + 64 * 2**20),
     ]
     page = design.resource.getpagesize()
     for cands, lam, need in cases:
@@ -867,7 +889,9 @@ def test_selection_does_not_depend_on_tuning_constants(
 
 
 # uniform d=10 HC 8, 10k candidates: W = M = 495, wider than the d = 2
-# studies, so shortlists of 128 and 512 rows run out before the selection ends
+# studies. Blocks end 26 (CFP) and 15 (AFP) times before the last pick at
+# the default 512 shortlist rows, 43 and 28 times at 128 rows, 21 and 11 at
+# 1024, and 17 and 8 at 2048
 W495 = StudyConfig(dimension=10, rule="HC")
 
 
@@ -899,7 +923,7 @@ def test_w495_pivots_match_lapack_pivoted_qr(method, w495_selections):
     np.testing.assert_array_equal(jpvt[: len(pivots)] - 1, pivots)
 
 
-@pytest.mark.parametrize("shortlist_rows", [128, 512, 2048])
+@pytest.mark.parametrize("shortlist_rows", [128, 1024, 2048])
 @pytest.mark.parametrize("method", ["CFP", "AFP"])
 def test_w495_selection_does_not_depend_on_the_shortlist(
     method, shortlist_rows, w495_selections, monkeypatch

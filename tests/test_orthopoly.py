@@ -250,6 +250,25 @@ def test_gauss_rule_matches_numpy_oracles(density, oracle, mass):
         np.testing.assert_allclose(weights, ref_weights, rtol=1e-10, atol=0.0)
 
 
+def test_gauss_rule_underflowed_weights_are_zero_without_a_warning():
+    """At Gaussian n = 400 the Christoffel sum overflows at the 3 outermost
+    nodes on each side, so their weights lie below 1 / DBL_MAX, under the
+    smallest normal double; they come back as 0.0 with no numpy warning (the
+    suite turns RuntimeWarnings into errors). Up to n = 300 no sum
+    overflows, and the weights keep the bits of the plain formula."""
+    table = recurrence_coefficients(GAUSSIAN, 400)
+    _, weights = gauss_rule(table, 400)
+    assert np.all(weights >= 0.0)
+    np.testing.assert_array_equal(np.flatnonzero(weights == 0.0), [0, 1, 2, 397, 398, 399])
+    assert abs(math.fsum(weights) - 1.0) <= 1e-12
+    for density in FAMILIES:
+        table = recurrence_coefficients(density, 300)
+        for n in (150, 300):
+            nodes, weights = gauss_rule(table, n)
+            seq = eval_phi_sequence(table, n - 1, nodes)
+            assert weights.tobytes() == (1.0 / np.sum(seq * seq, axis=0)).tobytes()
+
+
 @pytest.mark.parametrize("density", FAMILIES, ids=lambda d: d.kind)
 def test_orthonormality_under_gauss_quadrature(density):
     n_max = 8
