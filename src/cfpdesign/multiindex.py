@@ -154,6 +154,11 @@ def enrich(index_set: MultiIndexSet, extra: int) -> MultiIndexSet:
         raise ValueError("enrichment requires a downward-closed index set")
     if extra < 1:
         raise ValueError("extra must be positive")
+    if len(index_set) + extra > MAX_SET_SIZE:
+        raise ValueError(
+            f"enriched set would have {len(index_set) + extra} indices, "
+            f"more than the size guard of {MAX_SET_SIZE}"
+        )
     found: list[tuple[int, ...]] = []
     grade = 0
     while len(found) < extra:

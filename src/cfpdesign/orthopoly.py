@@ -41,9 +41,6 @@ GAUSSIAN = "gaussian"
 # |phi_{N-1}(y)| below this (relative) threshold marks y as a pole of r_N
 POLE_RTOL = 1e-12
 
-# root/bracket searches never look past this in absolute value
-SEARCH_BOUND = 10.0
-
 
 def _as_finite(array, name: str, shape=None) -> np.ndarray:
     """array as a float array: the package's one check of a caller's array.
@@ -187,11 +184,6 @@ def gauss_rule(table: RecurrenceTable, n: int) -> tuple[np.ndarray, np.ndarray]:
         return nodes, 1.0 / np.sum(seq * seq, axis=0)
 
 
-def _phi_pair(table: RecurrenceTable, n: int, y: float) -> tuple[float, float]:
-    seq = eval_phi_sequence(table, n, float(y))
-    return float(seq[n]), float(seq[n - 1])
-
-
 def r_ratio(table: RecurrenceTable, n: int, y: float) -> float:
     """Ratio phi_n(y) / phi_{n-1}(y), an extended real.
 
@@ -203,7 +195,8 @@ def r_ratio(table: RecurrenceTable, n: int, y: float) -> float:
     if not 1 <= n <= table.n_max:
         raise ValueError(f"order {n} outside tabulated range 1..{table.n_max}")
     with np.errstate(over="ignore", invalid="ignore"):
-        top, bottom = _phi_pair(table, n, y)
+        seq = eval_phi_sequence(table, n, float(y))
+    top, bottom = float(seq[n]), float(seq[n - 1])
     if not (math.isfinite(top) and math.isfinite(bottom)):
         raise ValueError(
             f"r_{n}(y) is not finite at y={y!r}: phi_{n} or phi_{n - 1} overflows there"
@@ -229,98 +222,43 @@ def level_set(table: RecurrenceTable, n: int, y: float) -> np.ndarray:
     return _jacobi_eigvals(table, n, c * math.sqrt(table.beta[n - 1]))
 
 
-def _poly_roots_bisect(table: RecurrenceTable, n: int) -> np.ndarray:
-    """All n roots of phi_n by interlacing brackets and plain bisection."""
-    if n == 0:
-        return np.empty(0)
-    roots = np.zeros(1)  # phi_1 root
-    for k in range(2, n + 1):
-        f = lambda z: eval_phi(table, k, z)  # noqa: E731
-        # roots of phi_k interlace those of phi_{k-1}; pad outer brackets
-        brackets = np.concatenate(([-SEARCH_BOUND], roots, [SEARCH_BOUND]))
-        new = [
-            _bisect(f, brackets[i], brackets[i + 1])
-            for i in range(len(brackets) - 1)
-        ]
-        roots = np.array(new)
-    return roots
-
-
-def _bisect(f, lo: float, hi: float, iters: int = 200) -> float:
-    flo = f(lo)
-    fhi = f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0.0:
-        raise ValueError(f"no sign change on [{lo}, {hi}]")
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if flo * fm < 0.0:
-            hi = mid
-        else:
-            lo, flo = mid, fm
-        if hi - lo < 1e-15 * max(1.0, abs(lo), abs(hi)):
-            break
-    return 0.5 * (lo + hi)
-
-
 def level_set_bisection(table: RecurrenceTable, n: int, y: float) -> np.ndarray:
-    """Level set of r_n through y by sign-change bisection, no eigensolves.
+    """Level set of r_n through y by Sturm-count bisection, no eigensolves.
 
-    r_n increases from -inf to +inf strictly between consecutive poles, so
-    g = phi_n - r_n(y) phi_{n-1} changes sign exactly once in each of the n
-    pole-bounded intervals. Slow but independent of the spectral route; a
-    test oracle only, not exported.
+    g = phi_n - r_n(y) phi_{n-1} is det(zI - J) up to a positive factor, for
+    J the order-n Jacobi matrix with s = r_n(y) sqrt(b_n) at (n-1, n-1). The
+    pivots of zI - J = L D L^T are ratios of its consecutive leading minors,
+    phi_0 .. phi_{n-1}, g up to positive factors, so the negative pivots
+    count the roots of g above z (Barth, Martin and Wilkinson, Numer. Math.
+    9, 1967). Each root is bisected on that count inside J's Gershgorin
+    bound, all n at once. A test oracle only, not exported.
     """
     c = r_ratio(table, n, y)
     if math.isinf(c):
         raise ValueError(f"y={y!r} is a pole of r_{n}")
+    beta = table.beta[: n - 1]
+    shift = c * math.sqrt(table.beta[n - 1])
+    # Gershgorin's bound plus one: every root lies strictly inside
+    bound = abs(shift) + 2.0 * math.sqrt(beta.max(initial=0.0)) + 1.0
 
-    def g(z: float) -> float:
-        top, bottom = _phi_pair(table, n, z)
-        return top - c * bottom
+    def above(z: np.ndarray) -> np.ndarray:
+        q, count = z, np.zeros(n, dtype=int)
+        # a zero pivot and the infinite one after it differ in sign bit, so
+        # the pair counts once, as the minors around a zero minor change sign
+        with np.errstate(divide="ignore", over="ignore"):
+            for b in beta:
+                count += np.signbit(q)
+                q = z - b / q
+        return count + np.signbit(q - shift)
 
-    poles = _poly_roots_bisect(table, n - 1)
-    inset = 1e-13
-
-    def march_out(anchor: float, direction: float) -> float:
-        # walk away from anchor until g changes sign against the inner edge
-        inner = anchor + direction * inset * max(1.0, abs(anchor))
-        step = 0.5
-        while True:
-            outer = anchor + direction * step
-            if g(inner) * g(outer) <= 0.0:
-                return outer
-            step *= 2.0
-            if step > 1e8:
-                raise ValueError("bracket search diverged")
-
-    roots = []
-    if len(poles) == 0:
-        # n == 1: single root of phi_1 - c, bracket symmetrically
-        a, b, step = -1.0, 1.0, 1.0
-        while g(a) * g(b) > 0.0:
-            step *= 2.0
-            a -= step
-            b += step
-            if step > 1e8:
-                raise ValueError("bracket search diverged")
-        roots.append(_bisect(g, a, b))
-    else:
-        roots.append(_bisect(g, march_out(poles[0], -1.0),
-                             poles[0] - inset * max(1.0, abs(poles[0]))))
-        for lo, hi in zip(poles[:-1], poles[1:]):
-            a = lo + inset * max(1.0, abs(lo))
-            b = hi - inset * max(1.0, abs(hi))
-            roots.append(_bisect(g, a, b))
-        roots.append(_bisect(g, poles[-1] + inset * max(1.0, abs(poles[-1])),
-                             march_out(poles[-1], 1.0)))
-    return np.sort(np.array(roots))
+    lo, hi = np.full(n, -bound), np.full(n, bound)
+    need = n - np.arange(n)  # root k (ascending) lies above z iff need[k] roots do
+    # to 1e-15 of max(1, |lo|, |hi|), which is max(1, -lo, hi) as lo < hi
+    while np.any(hi - lo > 1e-15 * np.maximum(1.0, np.maximum(-lo, hi))):
+        mid = 0.5 * (lo + hi)
+        right = above(mid) >= need
+        lo, hi = np.where(right, mid, lo), np.where(right, hi, mid)
+    return 0.5 * (lo + hi)
 
 
 def quadrature_exactness_report(

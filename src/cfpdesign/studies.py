@@ -32,7 +32,7 @@ from .design import (
 )
 from .elliptic import EllipticConfig, solve_bvp_batch
 from .lsq import solve_unweighted, solve_weighted, validation_error
-from .multiindex import MultiIndexSet, enrich, hyperbolic_cross, total_degree
+from .multiindex import MAX_SET_SIZE, MultiIndexSet, enrich, hyperbolic_cross, total_degree
 from .orthopoly import (
     DensitySpec,
     _sample_points,
@@ -134,7 +134,14 @@ def _degree_setup(config: StudyConfig, degree: int, m_points: int | None = None)
     build = total_degree if config.rule == "TD" else hyperbolic_cross
     lam = build(config.dimension, degree)
     if m_points is None:
-        m_points = math.ceil(config.oversampling * len(lam))
+        wanted = config.oversampling * len(lam)
+        # enrich's size guard, checked before math.ceil can meet inf
+        if wanted > MAX_SET_SIZE:
+            raise ValueError(
+                f"oversampling {config.oversampling} asks for {wanted:.4g} points, "
+                f"more than the size guard of {MAX_SET_SIZE}"
+            )
+        m_points = math.ceil(wanted)
     lam_tilde = enrich(lam, m_points - len(lam)) if m_points > len(lam) else lam
     return lam, lam_tilde, m_points
 

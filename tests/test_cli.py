@@ -403,6 +403,24 @@ def test_nonfinite_oversampling_is_a_usage_error(capsys, command, factor):
     assert "error: oversampling factor must be finite" in captured.err
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["design", "--degree", "2"],
+        ["study", "cond", "--degrees", "2", "--trials", "1"],
+    ],
+)
+def test_overflowing_oversampling_is_a_usage_error(capsys, command):
+    argv = command + ["--candidates", "200", "--oversampling", "1e308", "-o", "-"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: oversampling 1e+308 asks for inf points, "
+        "more than the size guard of 10000000\n"
+    )
+
+
 def test_design_json_is_strict_when_det_overflows(capsys):
     code = main(
         ["design", "--family", "gaussian", "--dimension", "4", "--rule", "HC",

@@ -689,7 +689,7 @@ def test_selection_checks_memory_before_any_row(select, monkeypatch):
             select(cands, lam, len(lam))
 
 
-@pytest.mark.parametrize("shortlist_rows", [512, 1024, 2048])
+@pytest.mark.parametrize("shortlist_rows", [256, 1024, 2048])
 @pytest.mark.parametrize("select", [cfp_select, afp_select])
 def test_rank_deficiency_names_the_rank(select, shortlist_rows, monkeypatch):
     """On the curve y = x^3 the 28 TD 6 functions span the 18 powers t^e,

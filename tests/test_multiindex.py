@@ -103,6 +103,15 @@ def test_hyperbolic_cross_size_guard(monkeypatch):
     assert len(hyperbolic_cross(10, 3)) == 76
 
 
+def test_enrich_size_guard(monkeypatch):
+    monkeypatch.setattr(cfpdesign.multiindex, "MAX_SET_SIZE", 100)
+    lam = total_degree(2, 2)
+    message = "^enriched set would have 101 indices, more than the size guard of 100$"
+    with pytest.raises(ValueError, match=message):
+        enrich(lam, 95)
+    assert len(enrich(lam, 94)) == 100
+
+
 def test_set_validation():
     with pytest.raises(ValueError):
         MultiIndexSet(2, ((0, 0), (0, 0)))

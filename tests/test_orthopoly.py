@@ -378,6 +378,14 @@ def test_level_set_against_bisection_oracle(density):
             spectral = level_set(table, n, y)
             bisected = level_set_bisection(table, n, y)
             np.testing.assert_allclose(bisected, spectral, atol=1e-9)
+    # high orders, one start each: the Gaussian level sets reach past |z| = 10
+    table = recurrence_coefficients(density, 100)
+    for n in (60, 100):
+        y = float(sample_density(density, rng, 1)[0])
+        if abs(eval_phi(table, n - 1, y)) < 1e-6:
+            y += 0.1
+        bisected = level_set_bisection(table, n, y)
+        np.testing.assert_allclose(bisected, level_set(table, n, y), atol=1e-9)
 
 
 @pytest.mark.parametrize("density", FAMILIES, ids=lambda d: d.kind)
