@@ -154,11 +154,15 @@ def _build_parser() -> argparse.ArgumentParser:
         p_kind.add_argument(
             "--methods", type=_parse_methods, help="comma list from CFP,AFP,MC"
         )
-        p_kind.add_argument("--validation-samples", type=int)
-        p_kind.add_argument("--elliptic-sigma", type=float)
-        p_kind.add_argument("--elliptic-grid-points", type=int)
+        if kind != "cond":
+            p_kind.add_argument("--validation-samples", type=int)
         if kind == "approx":
-            p_kind.add_argument("--target", choices=TARGETS, default="exp_negsumsq")
+            # the elliptic target is `study elliptic`, with its own options
+            analytic = tuple(t for t in TARGETS if t != "elliptic")
+            p_kind.add_argument("--target", choices=analytic, default="exp_negsumsq")
+        if kind == "elliptic":
+            p_kind.add_argument("--elliptic-sigma", type=float)
+            p_kind.add_argument("--elliptic-grid-points", type=int)
 
     p_verify = sub.add_parser("verify", help="verification reports, CSV output")
     verify_sub = p_verify.add_subparsers(dest="verify_kind", required=True)
@@ -172,11 +176,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def _run_design(args: argparse.Namespace) -> int:
     config = _study_config(args, degrees=(args.degree,))
     method = args.method.upper()
-    lam, lam_tilde, m_points = _degree_setup(config, args.degree, args.samples)
+    lam, m_points = _degree_setup(config, args.degree, args.samples)
     # a target the family cannot take fails before the selection, and a fit
     # that cannot run fails before anything is written
     target = None if args.fit is None else resolve_target(config, args.fit)
-    result = _select(config, method, lam_tilde, m_points, config.seed)
+    result = _select(config, method, lam, m_points, config.seed)
     if target is not None:
         basis = ProductBasis.for_density(config.density, lam)
         surrogate = _solver(method)(basis, result.points, target(result.points))

@@ -70,7 +70,9 @@ VERIFY_FIELDS = ("family", "N", "start", "check", "value", "threshold", "status"
 
 @dataclass(frozen=True)
 class StudyConfig:
-    """Knobs shared by all studies; defaults match the reference setup."""
+    """Study settings; defaults match the reference setup. Both sweeps read
+    family through methods; study_approx also reads validation_samples, and
+    its elliptic target elliptic_sigma and elliptic_grid_points."""
 
     family: str = "uniform"
     dimension: int = 2
@@ -129,8 +131,8 @@ def _derive_seed(*parts: int) -> int:
 
 
 def _degree_setup(config: StudyConfig, degree: int, m_points: int | None = None):
-    """(lam, enriched lam_tilde, M) for one degree; M defaults to
-    ceil(oversampling * N), and the selection checks it against its candidates."""
+    """(lam, M) for one degree; M defaults to ceil(oversampling * N), and
+    _select checks it against the candidates."""
     build = total_degree if config.rule == "TD" else hyperbolic_cross
     lam = build(config.dimension, degree)
     if m_points is None:
@@ -142,14 +144,18 @@ def _degree_setup(config: StudyConfig, degree: int, m_points: int | None = None)
                 f"more than the size guard of {MAX_SET_SIZE}"
             )
         m_points = math.ceil(wanted)
-    lam_tilde = enrich(lam, m_points - len(lam)) if m_points > len(lam) else lam
-    return lam, lam_tilde, m_points
+    return lam, m_points
 
 
 def _select(
-    config: StudyConfig, method: str, lam_tilde: MultiIndexSet, m_points: int, seed: int
+    config: StudyConfig, method: str, lam: MultiIndexSet, m_points: int, seed: int
 ) -> DesignResult:
-    """Greedy CFP or AFP pivots among config.candidates draws seeded by seed."""
+    """Greedy CFP or AFP pivots among config.candidates draws seeded by seed,
+    in lam enriched to m_points indices when M > N."""
+    # the selection's own check, made before enrich enumerates up to M indices
+    if m_points > config.candidates:
+        raise ValueError(f"only {config.candidates} candidates for {m_points} points")
+    lam_tilde = enrich(lam, m_points - len(lam)) if m_points > len(lam) else lam
     cands = candidate_set(
         config.density, config.dimension, config.candidates, lam_tilde.max_degree, seed
     )
@@ -163,7 +169,7 @@ def _solver(method: str):
 
 
 def _design_points(
-    config: StudyConfig, method: str, lam_tilde: MultiIndexSet, m_points: int,
+    config: StudyConfig, method: str, lam: MultiIndexSet, m_points: int,
     degree: int, trial: int,
 ) -> np.ndarray:
     """One trial's sample points for a method, drawn from derived sub-seeds."""
@@ -175,7 +181,7 @@ def _design_points(
     cand_seed = _derive_seed(
         config.seed, _STREAM_CANDIDATES, _METHOD_ID[method], degree, trial
     )
-    return _select(config, method, lam_tilde, m_points, cand_seed).points
+    return _select(config, method, lam, m_points, cand_seed).points
 
 
 def _quantiles_20_80(values: np.ndarray) -> tuple[float, float]:
@@ -213,13 +219,13 @@ def _sweep(config: StudyConfig, trial_value) -> list[dict]:
     records = []
     for method in config.methods:
         for degree in config.degrees:
-            lam, lam_tilde, m_points = _degree_setup(config, degree)
+            lam, m_points = _degree_setup(config, degree)
             basis = ProductBasis.for_density(config.density, lam)
             values = np.empty(config.trials)
             for trial in range(config.trials):
                 try:
                     points = _design_points(
-                        config, method, lam_tilde, m_points, degree, trial
+                        config, method, lam, m_points, degree, trial
                     )
                     values[trial] = trial_value(method, basis, points, degree, trial)
                 except ValueError as exc:

@@ -21,7 +21,7 @@ from cfpdesign import (
     hyperbolic_cross,
     total_degree,
 )
-from cfpdesign import design
+from cfpdesign import design, studies
 from cfpdesign.cli import _build_parser, main
 
 
@@ -203,7 +203,7 @@ def test_config_file_fills_unset_options(tmp_path, capsys):
         "validation_samples = 40\n"
     )
     code = main(
-        ["study", "cond", "--config", str(cfg), "--trials", "1", "-o", "-"]
+        ["study", "approx", "--config", str(cfg), "--trials", "1", "-o", "-"]
     )
     assert code == 0
     text = capsys.readouterr().out
@@ -270,6 +270,85 @@ def test_config_file_missing(capsys):
 def test_design_with_too_few_candidates(capsys):
     assert main(["design", "--samples", "50", "--candidates", "10"]) == 2
     assert "only" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["design", "--degree", "2", "--samples", "9000000"],
+         "only 100 candidates for 9000000 points"),
+        (["study", "cond", "--oversampling", "100000"],
+         "CFP degree 2 trial 0: only 100 candidates for 600000 points"),
+    ],
+)
+def test_too_few_candidates_fail_before_enrichment(monkeypatch, capsys, argv, message):
+    """M is checked against the candidates before the index set is enriched
+    to M indices, which at 9e6 would take seconds and most of a GB."""
+    monkeypatch.setattr(studies, "enrich", lambda *args: pytest.fail("enriched"))
+    assert main(argv + ["--candidates", "100", "-o", "-"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def _options(parser):
+    return {s for a in parser._actions for s in a.option_strings if s.startswith("--")}
+
+
+def _subcommands(parser):
+    return parser._subparsers._group_actions[0].choices
+
+
+def test_each_command_takes_only_the_options_it_reads():
+    """study cond reads no validation or elliptic setting, and study approx
+    no elliptic one; the elliptic target is study elliptic."""
+    commands = _subcommands(_build_parser())
+    shared = {"--help", "--config", "--family", "--output"}
+    sampling = shared | {"--dimension", "--rule", "--oversampling", "--candidates", "--seed"}
+    sweep = sampling | {"--degrees", "--trials", "--methods"}
+    expected = {
+        "design": sampling | {
+            "--degree", "--samples", "--method", "--fit", "--surrogate-output"
+        },
+        "study cond": sweep,
+        "study approx": sweep | {"--validation-samples", "--target"},
+        "study elliptic": sweep | {
+            "--validation-samples", "--elliptic-sigma", "--elliptic-grid-points"
+        },
+        "verify oned": shared | {"--n-max"},
+    }
+    found = {"design": _options(commands["design"])}
+    for command in ("study", "verify"):
+        for kind, sub in _subcommands(commands[command]).items():
+            found[f"{command} {kind}"] = _options(sub)
+    assert found == expected
+    # settable values, --help aside
+    counts = {name: len(options) - 1 for name, options in found.items()}
+    assert counts == {
+        "design": 13, "study cond": 11, "study approx": 13,
+        "study elliptic": 14, "verify oned": 4,
+    }
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["study", "cond", "--validation-samples", "5"], "unrecognized arguments"),
+        (["study", "approx", "--target", "elliptic"],
+         "argument --target: invalid choice: 'elliptic'"),
+        (["study", "approx", "--elliptic-sigma", "0.5"], "unrecognized arguments"),
+        (["study", "cond", "--config", "CONFIG"],
+         "error: unknown config key 'validation-samples'"),
+    ],
+)
+def test_options_a_command_does_not_read_are_usage_errors(tmp_path, capsys, argv, message):
+    cfg = tmp_path / "cond.cfg"
+    cfg.write_text("degrees = 2\nvalidation_samples = 5\n")
+    argv = [str(cfg) if word == "CONFIG" else word for word in argv]
+    assert _exit_code(argv + ["-o", "-"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
 
 
 @pytest.mark.skipif(design.resource is None, reason="no address-space limit")

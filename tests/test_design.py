@@ -46,6 +46,7 @@ from cfpdesign import (
     cfp_select,
     christoffel,
     condition_number,
+    enrich,
     eval_rows,
     eval_surrogate,
     hyperbolic_cross,
@@ -453,6 +454,14 @@ def test_shortlist_picked_out_starts_a_new_block(monkeypatch):
     assert pivots.tolist() == expected
 
 
+def _study_space(config, degree):
+    """The study's selection space and M at one degree, enriched as
+    studies._select enriches it."""
+    lam, m_points = _degree_setup(config, degree)
+    lam_tilde = enrich(lam, m_points - len(lam)) if m_points > len(lam) else lam
+    return lam_tilde, m_points
+
+
 @pytest.mark.parametrize("method", ["CFP", "AFP"])
 def test_selection_holds_little_beside_its_rows(method):
     """cond_sweep's peak cell, uniform d=2 TD 15 at 10k candidates (10.9 MiB
@@ -461,7 +470,7 @@ def test_selection_holds_little_beside_its_rows(method):
     tracemalloc peak is 1.62 (CFP) and 1.54 MiB (AFP) above the rows, and a
     1025-row copy (1.12 MiB) puts it at 2.20 and 2.12 MiB, above the bound."""
     config = StudyConfig()
-    _, lam_tilde, m_points = _degree_setup(config, 15)
+    lam_tilde, m_points = _study_space(config, 15)
     seed = _derive_seed(0, _STREAM_CANDIDATES, _METHOD_ID[method], 15, 0)
     cands = candidate_set(UNIFORM, 2, 10_000, lam_tilde.max_degree, seed)
     select = cfp_select if method == "CFP" else afp_select
@@ -713,9 +722,9 @@ def _curve_candidates():
 
 def _study_trial0(config, degree, method):
     """The study's trial-0 selection at one degree, from its candidate seed."""
-    _, lam_tilde, m_points = _degree_setup(config, degree)
+    lam, m_points = _degree_setup(config, degree)
     seed = _derive_seed(0, _STREAM_CANDIDATES, _METHOD_ID[method], degree, 0)
-    return _select(config, method, lam_tilde, m_points, seed)
+    return _select(config, method, lam, m_points, seed)
 
 
 def _study_td15(density, method):
@@ -820,7 +829,7 @@ def test_selection_weights_are_the_christoffel_sums(method, monkeypatch):
     differs in the last bit at 5886 (CFP draw) and 5942 (AFP draw) of
     these 10k candidates."""
     config = StudyConfig(family="uniform")
-    _, lam_tilde, m_points = _degree_setup(config, 15)
+    lam_tilde, m_points = _study_space(config, 15)
     seed = _derive_seed(0, _STREAM_CANDIDATES, _METHOD_ID[method], 15, 0)
     cands = candidate_set(UNIFORM, 2, 10_000, lam_tilde.max_degree, seed)
     k = christoffel(ProductBasis.for_density(UNIFORM, lam_tilde), cands.points)
@@ -907,7 +916,7 @@ def test_w495_pivots_match_lapack_pivoted_qr(method, w495_selections):
     exact tie at unit norm, so its first pick is projected out of every Q
     row, and xGEQP3 on the rest gives the remaining picks."""
     result = w495_selections[method]
-    _, lam_tilde, _ = _degree_setup(W495, 8)
+    lam_tilde, _ = _study_space(W495, 8)
     cands = candidate_set(UNIFORM, 10, 10_000, lam_tilde.max_degree, result.seed)
     basis = ProductBasis.for_density(UNIFORM, lam_tilde)
     v = eval_rows(basis, cands.points, result.space)

@@ -24,7 +24,7 @@ from cfpdesign import (
     total_degree,
     verify_oned,
 )
-from cfpdesign import __version__
+from cfpdesign import __version__, studies
 from cfpdesign.studies import _quantiles_20_80
 
 
@@ -142,15 +142,17 @@ def test_hyperbolic_cross_study_runs():
 
 
 def test_candidate_budget_guard():
-    """The selection owns the check; the sweep names the cell."""
+    """_select checks M against the candidates; the sweep names the cell."""
     cfg = StudyConfig(degrees=(5,), trials=1, candidates=10)
     message = "^CFP degree 5 trial 0: only 10 candidates for 23 points$"
     with pytest.raises(ValueError, match=message):
         study_condition(cfg)
 
 
-def test_mc_only_study_needs_no_candidate_budget():
-    """Monte Carlo cells draw their points directly, with no candidates."""
+def test_mc_only_study_needs_no_candidate_budget(monkeypatch):
+    """Monte Carlo cells draw their points directly, with no candidates and
+    no enriched index set."""
+    monkeypatch.setattr(studies, "enrich", lambda *args: pytest.fail("enriched"))
     cfg = StudyConfig(degrees=(4,), trials=1, candidates=10, methods=("MC",))
     records = study_condition(cfg)
     assert [(r["method"], r["M"], r["stat"]) for r in records] == [
