@@ -93,10 +93,9 @@ def _with_config_file(args: argparse.Namespace, argv: list[str]) -> list[str]:
     return argv[:words] + tokens + argv[words:]
 
 
-def _study_config(args: argparse.Namespace, **overrides) -> StudyConfig:
+def _study_config(args: argparse.Namespace) -> StudyConfig:
     """StudyConfig from the options given; the dataclass holds the defaults."""
     given = {f.name: getattr(args, f.name, None) for f in fields(StudyConfig)}
-    given.update(overrides)
     return StudyConfig(**{name: v for name, v in given.items() if v is not None})
 
 
@@ -174,7 +173,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _run_design(args: argparse.Namespace) -> int:
-    config = _study_config(args, degrees=(args.degree,))
+    config = _study_config(args)
     method = args.method.upper()
     lam, m_points = _degree_setup(config, args.degree, args.samples)
     # a target the family cannot take fails before the selection, and a fit

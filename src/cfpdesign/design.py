@@ -30,8 +30,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -127,7 +128,8 @@ class DesignResult:
     objective_trace holds the running determinant modulus after each step.
     det_modulus and condition_number describe the final selected matrix in
     the space the selection ran in. points and objective_trace are read-only
-    copies of the arrays passed in.
+    copies of the arrays passed in, and config a read-only copy of the
+    mapping, its lists made tuples.
     """
 
     points: np.ndarray
@@ -137,13 +139,17 @@ class DesignResult:
     condition_number: float
     space: str
     seed: int | None
-    config: dict
+    config: Mapping
 
     def __post_init__(self):
         for name in ("points", "objective_trace"):
             copy = np.array(getattr(self, name), dtype=float)
             copy.setflags(write=False)
             object.__setattr__(self, name, copy)
+        frozen = {
+            k: tuple(v) if isinstance(v, list) else v for k, v in self.config.items()
+        }
+        object.__setattr__(self, "config", MappingProxyType(frozen))
 
     def to_json(self) -> dict:
         """JSON-ready dict; an infinite determinant or trace entry (beyond the
@@ -156,7 +162,10 @@ class DesignResult:
             "condition_number": _json_float(self.condition_number),
             "space": self.space,
             "seed": self.seed,
-            "config": self.config,
+            "config": {
+                k: list(v) if isinstance(v, tuple) else v
+                for k, v in self.config.items()
+            },
         }
 
 

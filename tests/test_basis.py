@@ -30,7 +30,7 @@ from cfpdesign import (
     solve_weighted,
     total_degree,
 )
-from cfpdesign.basis import RECURRENCE_CHUNK_POINTS, ROW_BLOCK_VALUES
+from cfpdesign.basis import RECURRENCE_CHUNK_POINTS, ROW_BLOCK_VALUES, vandermonde
 
 UNIFORM = DensitySpec.uniform()
 GAUSSIAN = DensitySpec.gaussian()
@@ -51,6 +51,13 @@ def test_eval_row_hand_values():
 
     plane = ProductBasis.for_density(UNIFORM, total_degree(2, 1))
     np.testing.assert_allclose(eval_row(plane, [0.0, 0.0], "P"), [1.0, 0.0, 0.0], atol=1e-15)
+
+
+def test_product_basis_needs_one_table_per_coordinate():
+    table = recurrence_coefficients(UNIFORM, 1)
+    message = "^one recurrence table per coordinate required$"
+    with pytest.raises(ValueError, match=message):
+        ProductBasis((table,), total_degree(2, 1))
 
 
 def test_eval_rows_requires_known_space_and_dimension():
@@ -249,6 +256,8 @@ def test_vandermonde_hand_values():
     np.testing.assert_allclose(
         matrix @ matrix.T, np.eye(2), atol=1e-14
     )
+    # the alias perfbench/tracer.py wraps by name
+    np.testing.assert_array_equal(vandermonde(basis, LEVEL_SET_2, "Q"), matrix)
 
 
 def test_q_rows_unit_norm_everywhere():

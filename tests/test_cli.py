@@ -33,6 +33,15 @@ def _exit_code(argv):
         return exc.code
 
 
+def _fails_with(capsys, argv, message):
+    """main refuses argv: exit 2, nothing on stdout and the one line
+    `error: <message>` on stderr."""
+    assert _exit_code(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def _reject_constant(name):
     raise AssertionError(f"bare {name} token is not valid JSON")
 
@@ -247,29 +256,34 @@ def test_parser_is_reused_across_calls(tmp_path, capsys):
 
 def test_config_file_unknown_key(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
+    argv = ["study", "cond", "--config", str(cfg)]
     cfg.write_text("mystery = 4\n")
-    assert main(["study", "cond", "--config", str(cfg)]) == 2
-    assert "unknown config key" in capsys.readouterr().err
+    _fails_with(capsys, argv, "unknown config key 'mystery'")
     cfg.write_text("degree = 3\n")  # argparse alone would read it as --degrees
-    assert main(["study", "cond", "--config", str(cfg)]) == 2
-    assert "unknown config key 'degree'" in capsys.readouterr().err
+    _fails_with(capsys, argv, "unknown config key 'degree'")
 
 
 def test_config_file_malformed_line(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("this line has no assignment\n")
-    assert main(["study", "cond", "--config", str(cfg)]) == 2
-    assert "expected 'key = value'" in capsys.readouterr().err
+    argv = ["study", "cond", "--config", str(cfg)]
+    _fails_with(capsys, argv, f"{cfg}:1: expected 'key = value'")
 
 
 def test_config_file_missing(capsys):
-    assert main(["study", "cond", "--config", "/nonexistent/path.cfg"]) == 2
-    assert "error:" in capsys.readouterr().err
+    _fails_with(
+        capsys,
+        ["study", "cond", "--config", "/nonexistent/path.cfg"],
+        "[Errno 2] No such file or directory: '/nonexistent/path.cfg'",
+    )
 
 
 def test_design_with_too_few_candidates(capsys):
-    assert main(["design", "--samples", "50", "--candidates", "10"]) == 2
-    assert "only" in capsys.readouterr().err
+    _fails_with(
+        capsys,
+        ["design", "--samples", "50", "--candidates", "10"],
+        "only 10 candidates for 50 points",
+    )
 
 
 @pytest.mark.parametrize(
@@ -285,10 +299,7 @@ def test_too_few_candidates_fail_before_enrichment(monkeypatch, capsys, argv, me
     """M is checked against the candidates before the index set is enriched
     to M indices, which at 9e6 would take seconds and most of a GB."""
     monkeypatch.setattr(studies, "enrich", lambda *args: pytest.fail("enriched"))
-    assert main(argv + ["--candidates", "100", "-o", "-"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"error: {message}\n"
+    _fails_with(capsys, argv + ["--candidates", "100", "-o", "-"], message)
 
 
 def _options(parser):
@@ -360,13 +371,12 @@ def test_design_beyond_the_address_space_limit_exits_2(monkeypatch, capsys):
     monkeypatch.setattr(design.resource, "getrlimit", lambda which: (1_500_000_000, -1))
     monkeypatch.setattr(design, "open", lambda path: io.StringIO("0\n"), raising=False)
     monkeypatch.setattr(design, "_rows", lambda *args: pytest.fail("rows evaluated"))
-    assert main(["design", "--degree", "120", "--candidates", "20000", "-o", "-"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == (
-        "error: the selection needs 1.83 GB, more than the 1.50 GB left under "
-        "the process's address-space limit; use fewer candidates (--candidates) "
-        "or a lower degree (--degree)\n"
+    _fails_with(
+        capsys,
+        ["design", "--degree", "120", "--candidates", "20000", "-o", "-"],
+        "the selection needs 1.83 GB, more than the 1.50 GB left under the "
+        "process's address-space limit; use fewer candidates (--candidates) or "
+        "a lower degree (--degree)",
     )
 
 
@@ -374,26 +384,20 @@ def test_design_beyond_the_address_space_limit_exits_2(monkeypatch, capsys):
     "argv, message",
     [
         (["--family", "gaussian", "--degree", "2", "--fit", "elliptic"],
-         "needs uniform parameters"),
+         "the elliptic benchmark needs uniform parameters in [-1, 1]^d"),
         (["--samples", "3", "--degree", "4", "--fit", "exp_negsumsq", "-o", "-"],
          "need at least 15 samples, got 3"),
     ],
 )
 def test_design_fit_that_cannot_run_writes_nothing(capsys, argv, message):
     argv = ["design", "--candidates", "200", "--surrogate-output", "-", *argv]
-    assert main(argv) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert message in captured.err
+    _fails_with(capsys, argv, message)
 
 
 @pytest.mark.parametrize("study", ["cond", "approx", "elliptic"])
 def test_negative_seed_is_a_usage_error(capsys, study):
     argv = ["study", study, "--degrees", "1", "--trials", "1", "--candidates", "200"]
-    assert _exit_code(argv + ["--seed", "-1", "-o", "-"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "error: seed must be nonnegative" in captured.err
+    _fails_with(capsys, argv + ["--seed", "-1", "-o", "-"], "seed must be nonnegative")
 
 
 def test_repeated_degrees_or_methods_are_a_usage_error(capsys):
@@ -403,10 +407,7 @@ def test_repeated_degrees_or_methods_are_a_usage_error(capsys):
         (["--degrees", "2,2"], "degrees has a duplicate: 2"),
         (["--degrees", "2", "--methods", "CFP,cfp"], "methods has a duplicate: 'CFP'"),
     ):
-        assert _exit_code(argv + extra) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert f"error: {message}" in captured.err
+        _fails_with(capsys, argv + extra, message)
 
 
 def test_study_error_names_its_cell(capsys):
@@ -417,20 +418,18 @@ def test_study_error_names_its_cell(capsys):
         "study", "cond", "--family", "gaussian", "--dimension", "1",
         "--degrees", "30", "--methods", "AFP", "--trials", "1", "-o", "-",
     ]
-    assert _exit_code(argv) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == (
-        "error: AFP degree 30 trial 0: candidate rows reached rank 24 "
-        "before 33 pivots\n"
+    _fails_with(
+        capsys, argv,
+        "AFP degree 30 trial 0: candidate rows reached rank 24 before 33 pivots",
     )
 
 
 def test_study_with_bad_degree_budget(capsys):
-    assert main(
-        ["study", "cond", "--degrees", "9", "--candidates", "10", "-o", "-"]
-    ) == 2
-    assert "error:" in capsys.readouterr().err
+    _fails_with(
+        capsys,
+        ["study", "cond", "--degrees", "9", "--candidates", "10", "-o", "-"],
+        "CFP degree 9 trial 0: only 10 candidates for 58 points",
+    )
 
 
 @pytest.mark.parametrize(
@@ -460,10 +459,18 @@ def test_config_value_meets_flag_type(tmp_path, capsys, line, message):
     assert message in capsys.readouterr().err
 
 
+def test_design_negative_degree_is_refused_by_the_index_set(capsys):
+    """design has one --degree, which total_degree checks; it is
+    not a one-degree study, so the message names no --degrees."""
+    _fails_with(
+        capsys, ["design", "--degree", "-1", "-o", "-"],
+        "need dimension >= 1 and degree >= 0",
+    )
+
+
 def test_design_checks_oversampling_like_study(capsys):
     argv = ["design", "--degree", "2", "--candidates", "200", "--oversampling", "0.99"]
-    assert main(argv) == 2
-    assert "oversampling factor must be at least 1" in capsys.readouterr().err
+    _fails_with(capsys, argv, "oversampling factor must be at least 1")
 
 
 @pytest.mark.parametrize("factor", ["nan", "inf"])
@@ -476,10 +483,7 @@ def test_design_checks_oversampling_like_study(capsys):
 )
 def test_nonfinite_oversampling_is_a_usage_error(capsys, command, factor):
     argv = command + ["--candidates", "200", "--oversampling", factor, "-o", "-"]
-    assert main(argv) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "error: oversampling factor must be finite" in captured.err
+    _fails_with(capsys, argv, f"oversampling factor must be finite, got {factor}")
 
 
 @pytest.mark.parametrize(
@@ -491,12 +495,9 @@ def test_nonfinite_oversampling_is_a_usage_error(capsys, command, factor):
 )
 def test_overflowing_oversampling_is_a_usage_error(capsys, command):
     argv = command + ["--candidates", "200", "--oversampling", "1e308", "-o", "-"]
-    assert main(argv) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == (
-        "error: oversampling 1e+308 asks for inf points, "
-        "more than the size guard of 10000000\n"
+    _fails_with(
+        capsys, argv,
+        "oversampling 1e+308 asks for inf points, more than the size guard of 10000000",
     )
 
 

@@ -23,6 +23,7 @@ sampler for the ball law.
 """
 
 import io
+import json
 import math
 import tracemalloc
 import warnings
@@ -314,7 +315,7 @@ def _explicit_residual_greedy(v, m_points):
         sq = np.einsum("ij,ij->i", r, r)
         sq[chosen] = -np.inf
         best = float(np.max(sq))
-        j = int(np.argmax(sq >= best - 2e-12 * best))
+        j = int(np.argmax(sq >= best - 2.0 * design.TIE_RTOL * best))
         gaps.append(1.0 - float(np.partition(sq, -2)[-2]) / best)
         chosen.append(j)
         q = r[j] / math.sqrt(sq[j])
@@ -568,7 +569,7 @@ _REPEAT_CASES = {
     "all-equal": ([[0.25, -0.5]] * 6, _CONSTANT),
     "d1": ([[0.3], [-0.1], [0.3], [-0.0], [0.0], [-0.1], [0.9]], total_degree(1, 3)),
     "d4": (np.vstack([np.eye(4), np.eye(4)[::-1], -np.eye(4)]), total_degree(4, 1)),
-    # above the shortlist gate
+    # more rows than one 512-row shortlist, so the loop picks in blocks
     "draw-10k-plus-50-copies": (np.vstack([_DRAW, _DRAW[:50]]), total_degree(2, 10)),
     "interleaved-tie-group": (
         [[0.5, 1], [0.5, 2], [0.5, 1], [0.5, 3], [0.5, 2]],
@@ -621,7 +622,8 @@ def test_repeated_candidates_resolve_to_first_occurrences(select, case):
 @pytest.mark.parametrize("select", [cfp_select, afp_select])
 def test_too_few_distinct_candidates_raise(select, distinct, copies, degree):
     """Copies of picked rows have no residual, so the rank runs out at the
-    distinct count; 400 copies of 30 points are above the shortlist gate."""
+    distinct count; 400 copies of 30 points are more rows than one 512-row
+    shortlist."""
     cands = manual_candidates(np.tile(distinct, copies), UNIFORM)
     lam = total_degree(1, degree)
     m_points = len(distinct) + 1
@@ -663,6 +665,20 @@ def _address_space(monkeypatch, limit, mapped_pages):
 
     monkeypatch.setattr(design.resource, "getrlimit", lambda which: (limit, -1))
     monkeypatch.setattr(design, "open", statm, raising=False)
+
+
+@pytest.mark.skipif(design.resource is None, reason="no address-space limit")
+def test_memory_check_without_proc_counts_the_whole_limit(monkeypatch):
+    """Where /proc/self/statm cannot be opened, nothing counts as mapped."""
+    def no_proc(path):
+        raise FileNotFoundError(path)
+
+    monkeypatch.setattr(design.resource, "getrlimit", lambda which: (2 * 10**9, -1))
+    monkeypatch.setattr(design, "open", no_proc, raising=False)
+    design._check_memory(2 * 10**9)
+    message = r"^the selection needs 2\.00 GB, more than the 2\.00 GB left "
+    with pytest.raises(ValueError, match=message):
+        design._check_memory(2 * 10**9 + 1)
 
 
 @pytest.mark.skipif(design.resource is None, reason="no address-space limit")
@@ -992,16 +1008,40 @@ def test_result_arrays_read_only():
         result.points[0, 0] = 9.9
     with pytest.raises(ValueError):
         result.objective_trace[0] = 9.9
-    # the result freezes copies, not the caller's arrays
+    # the result freezes copies, not the caller's arrays and config
     points = np.array([[0.1], [0.7]])
     trace = np.array([1.0, 0.5])
-    result = DesignResult(points, (0, 1), trace, 0.5, 2.0, "Q", None, {})
+    config = {"densities": ["uniform"]}
+    result = DesignResult(points, (0, 1), trace, 0.5, 2.0, "Q", None, config)
     assert points.flags.writeable and trace.flags.writeable
     assert not result.points.flags.writeable
     assert not result.objective_trace.flags.writeable
     points[0, 0] = 0.5
     trace[0] = 9.9
+    config["densities"].append("gaussian")
+    config["m_points"] = 2
     assert result.points[0, 0] == 0.1 and result.objective_trace[0] == 1.0
+    assert result.config == {"densities": ("uniform",)}
+    assert result.to_json()["config"] == {"densities": ["uniform"]}
+
+
+def test_result_config_read_only():
+    """to_json builds fresh containers, so editing what it returns, at any
+    depth, changes neither the result's config nor the next to_json."""
+    cands = candidate_set(UNIFORM, 1, 20, 2, 0)
+    result = cfp_select(cands, total_degree(1, 2), 3)
+    config = dict(result.config)
+    blob = result.to_json()
+    before = json.dumps(blob)
+    blob["config"]["version"] = "x"
+    blob["config"]["densities"].append("gaussian")
+    blob["points"][0][0] = 9.9
+    blob["pivot_order"].append(7)
+    blob["objective_trace"][0] = 9.9
+    assert dict(result.config) == config
+    assert json.dumps(result.to_json()) == before
+    with pytest.raises(TypeError):
+        result.config["version"] = "x"
 
 
 def test_gaussian_example_against_subset_oracle():

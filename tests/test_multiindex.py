@@ -121,6 +121,8 @@ def test_set_validation():
         MultiIndexSet(2, ((0, -1),))
     with pytest.raises(ValueError):
         MultiIndexSet(2, ())
+    with pytest.raises(ValueError, match="^dimension must be positive$"):
+        MultiIndexSet(0, ((),))
 
 
 def test_membership_and_degrees():

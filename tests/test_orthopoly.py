@@ -229,6 +229,8 @@ def test_gauss_rule_hand_values():
     nodes, weights = gauss_rule(gau, 2)
     np.testing.assert_allclose(nodes, [-1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0)], rtol=1e-14)
     np.testing.assert_allclose(weights, [0.5, 0.5], rtol=1e-14)
+    with pytest.raises(ValueError, match=r"^order 5 outside tabulated range 1\.\.3$"):
+        gauss_rule(uni, 5)
 
 
 @pytest.mark.parametrize(
@@ -326,6 +328,8 @@ def test_level_set_single_point_and_pole():
     np.testing.assert_allclose(level_set(table, 1, 0.37), [0.37], atol=1e-14)
     with pytest.raises(ValueError):
         level_set(table, 2, 0.0)  # pole of r_2
+    with pytest.raises(ValueError, match=r"^y=0\.0 is a pole of r_2$"):
+        level_set_bisection(table, 2, 0.0)
 
 
 @pytest.mark.parametrize("y", [math.nan, math.inf, -math.inf])
