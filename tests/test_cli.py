@@ -388,6 +388,7 @@ def test_design_beyond_the_address_space_limit_exits_2(monkeypatch, capsys):
         (["--samples", "3", "--degree", "4", "--fit", "exp_negsumsq", "-o", "-"],
          "need at least 15 samples, got 3"),
     ],
+    ids=["argv0-needs uniform parameters", "argv1-need at least 15 samples, got 3"],
 )
 def test_design_fit_that_cannot_run_writes_nothing(capsys, argv, message):
     argv = ["design", "--candidates", "200", "--surrogate-output", "-", *argv]
