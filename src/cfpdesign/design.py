@@ -48,7 +48,6 @@ from .basis import (
     _check_sums,
     _det_and_cond,
     _row_blocks,
-    _rows,
     _sums,
     det_modulus,
     eval_rows,
@@ -422,7 +421,7 @@ def _qr_select(
     space: str,
 ) -> DesignResult:
     basis = _selection_basis(candidates, index_set, m_points)
-    v = _rows(basis, candidates.points)
+    v = eval_rows(basis, candidates.points, "P")
     k = _sums(v)
     _check_sums(basis, candidates.points, k, positive=space == "Q")
     # CFP weighs rows by 1/K; its weighted squares are set to exactly 1, not

@@ -72,9 +72,13 @@ def _modes(config: EllipticConfig, x: np.ndarray) -> np.ndarray:
     return np.cos(2.0 * math.pi * k * x[None, :]) / (k * k * math.pi**2)
 
 
-def _kappa(config: EllipticConfig, modes: np.ndarray, y2: np.ndarray) -> np.ndarray:
-    """kappa for parameter rows y2 on the grid whose _modes are given."""
-    return 1.0 + config.sigma * (y2 @ modes)
+def _kappa(config: EllipticConfig, modes: np.ndarray, y2: np.ndarray, out=None):
+    """kappa for parameter rows y2 on the grid whose _modes are given,
+    written into out (shape (len(y2), len(x))) if given, with no temporary."""
+    kappa = np.dot(y2, modes, out=out)
+    kappa *= config.sigma
+    kappa += 1.0
+    return kappa
 
 
 def diffusivity(config: EllipticConfig, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -91,7 +95,8 @@ def solve_bvp_batch(config: EllipticConfig, y: np.ndarray) -> np.ndarray:
     """u(1/2, y) for a batch of parameter points, shape (n, d) -> (n,).
 
     The batch is solved in row blocks sized by ROW_BLOCK_VALUES (kappa
-    values), so no kappa array of the whole batch is allocated.
+    values), each written into one kappa buffer of the first (largest)
+    block, so no kappa array of the whole batch is allocated.
     """
     y2 = _as_finite(np.atleast_2d(y), "y", ("n", config.dimension))
     gp = config.grid_points
@@ -101,13 +106,16 @@ def solve_bvp_batch(config: EllipticConfig, y: np.ndarray) -> np.ndarray:
     modes = _modes(config, x)
     flux = 1.0 - 2.0 * x
     u = np.empty(len(y2))
+    blocks = list(_row_blocks(len(y2), len(x)))
+    buf = np.empty((blocks[0].stop if blocks else 0, len(x)))
     # u's last bits follow ROW_BLOCK_VALUES, through each block's BLAS product shape
-    for blk in _row_blocks(len(y2), len(x)):
-        kappa = _kappa(config, modes, y2[blk])
+    for blk in blocks:
+        kappa = _kappa(config, modes, y2[blk], out=buf[: blk.stop - blk.start])
         if kappa.min() <= 0.0:
             raise ValueError("kappa is not positive for some parameter point")
-        u[blk] = np.divide(1.0, kappa, out=kappa) @ flux
-    return h * u
+        np.dot(np.reciprocal(kappa, out=kappa), flux, out=u[blk])
+    u *= h
+    return u
 
 
 def solve_bvp(config: EllipticConfig, y) -> float:

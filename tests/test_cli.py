@@ -21,6 +21,7 @@ from cfpdesign import (
     hyperbolic_cross,
     total_degree,
 )
+from cfpdesign import basis as basis_module
 from cfpdesign import design, studies
 from cfpdesign.cli import _build_parser, main
 
@@ -370,7 +371,9 @@ def test_design_beyond_the_address_space_limit_exits_2(monkeypatch, capsys):
     before a row is evaluated."""
     monkeypatch.setattr(design.resource, "getrlimit", lambda which: (1_500_000_000, -1))
     monkeypatch.setattr(design, "open", lambda path: io.StringIO("0\n"), raising=False)
-    monkeypatch.setattr(design, "_rows", lambda *args: pytest.fail("rows evaluated"))
+    monkeypatch.setattr(
+        basis_module, "_rows", lambda *args: pytest.fail("rows evaluated")
+    )
     _fails_with(
         capsys,
         ["design", "--degree", "120", "--candidates", "20000", "-o", "-"],

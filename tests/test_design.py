@@ -27,6 +27,7 @@ import json
 import math
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -496,31 +497,49 @@ def selection_problems(draw):
     return cands, lam, draw(st.integers(1, len(lam)))
 
 
+# shortlists of 1, 2, 3 and 16 rows split every drawn selection into many
+# blocks, so the block end, the outside-row bound and the recompute of the
+# outside rows all run; 512 is the default, one block for these sizes
+SHORTLISTS = st.sampled_from([1, 2, 3, 16, 512])
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
-@given(selection_problems())
-def test_cfp_trace_is_nonincreasing_and_hadamard_bounded(problem):
+@given(selection_problems(), SHORTLISTS)
+def test_cfp_trace_is_nonincreasing_and_hadamard_bounded(problem, shortlist_rows):
     cands, lam, m_points = problem
-    trace = cfp_select(cands, lam, m_points).objective_trace
+    # monkeypatch is function-scoped: it is not undone between examples
+    with mock.patch.object(design, "SHORTLIST_ROWS", shortlist_rows):
+        trace = cfp_select(cands, lam, m_points).objective_trace
     assert np.all(trace <= 1.0 + 1e-12)
     assert np.all(np.diff(trace) <= 1e-12 * trace[:-1])
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
-@given(selection_problems(), st.integers(0, 10**6), st.sampled_from(["Q", "P"]))
-def test_selected_set_is_invariant_under_candidate_permutation(problem, seed, space):
+@given(
+    selection_problems(),
+    st.integers(0, 10**6),
+    st.sampled_from(["Q", "P"]),
+    SHORTLISTS,
+)
+def test_selected_set_is_invariant_under_candidate_permutation(
+    problem, seed, space, shortlist_rows
+):
     """Away from ties the chosen set depends only on the candidates, not
-    their order. Candidate 0 stays first, so the unit-norm tie at the first
-    Q step goes to the same point under both orders."""
+    their order, and its pivots are the explicit-residual greedy's.
+    Candidate 0 stays first, so the unit-norm tie at the first Q step goes
+    to the same point under both orders."""
     cands, lam, m_points = problem
     v = _rows(cands, lam, space)
-    gaps = _explicit_residual_greedy(v, m_points)[1]
+    chosen, gaps = _explicit_residual_greedy(v, m_points)
     assume(min(gaps[1:] if space == "Q" else gaps, default=1.0) > 1e-6)
     perm = np.r_[0, 1 + np.random.default_rng(seed).permutation(len(cands) - 1)]
     shuffled = manual_candidates(cands.points[perm], cands.densities[0])
     select = cfp_select if space == "Q" else afp_select
-    original = select(cands, lam, m_points).points
-    permuted = select(shuffled, lam, m_points).points
-    assert sorted(map(tuple, original)) == sorted(map(tuple, permuted))
+    with mock.patch.object(design, "SHORTLIST_ROWS", shortlist_rows):
+        original = select(cands, lam, m_points)
+        permuted = select(shuffled, lam, m_points).points
+    assert original.pivot_order == tuple(chosen)
+    assert sorted(map(tuple, original.points)) == sorted(map(tuple, permuted))
 
 
 def test_cfp_trace_is_nonincreasing_and_bounded():
@@ -701,7 +720,9 @@ def test_selection_checks_memory_before_any_row(select, monkeypatch):
     for cands, lam, need in cases:
         _address_space(monkeypatch, need + 3 * page, 3)
         assert len(select(cands, lam, len(lam)).points) == len(lam)
-    monkeypatch.setattr(design, "_rows", lambda *args: pytest.fail("rows evaluated"))
+    monkeypatch.setattr(
+        basis_module, "_rows", lambda *args: pytest.fail("rows evaluated")
+    )
     for cands, lam, need in cases:
         _address_space(monkeypatch, need + 3 * page - 1, 3)
         gb = f"{need / 1e9:.2f}".replace(".", r"\.")
@@ -780,24 +801,26 @@ def test_overflowing_christoffel_sum_names_the_point(select, capfd):
 
 @pytest.mark.parametrize("select,space", [(cfp_select, "Q"), (afp_select, "P")])
 def test_selection_evaluates_plain_rows_once(select, space, monkeypatch):
-    """Both methods select on the plain rows of every candidate, evaluated
-    once by the row kernel; the diagnostics read the picked points' rows
-    from them, and no row is evaluated again."""
+    """Both methods select on the plain rows of every candidate, read
+    through eval_rows as the oracles read theirs and evaluated once by the
+    row kernel; the diagnostics read the picked points' rows from them, and
+    no row is evaluated again."""
     calls = []
+    real_rows = basis_module._rows
 
     def kernel_spy(basis, points):
         calls.append((len(points), "rows"))
-        return basis_module._rows(basis, points)
+        return real_rows(basis, points)
 
     def spy(basis, points, row_space):
         calls.append((len(points), row_space))
         return eval_rows(basis, points, row_space)
 
-    monkeypatch.setattr(design, "_rows", kernel_spy)
+    monkeypatch.setattr(basis_module, "_rows", kernel_spy)
     monkeypatch.setattr(design, "eval_rows", spy)
     lam = total_degree(2, 8)
     assert select(candidate_set(UNIFORM, 2, 2000, 8, 0), lam, len(lam)).space == space
-    assert calls == [(2000, "rows")]
+    assert calls == [(2000, "P"), (2000, "rows")]
 
 
 def test_only_the_weighted_paths_sum_christoffel(monkeypatch):

@@ -191,15 +191,17 @@ def test_bad_points_past_the_first_block_rejected():
 
 
 def test_solve_allocates_no_batch_sized_temporary():
-    # the (n, 500) kappa of 10k points is 40 MB; a solve block is 256 KB
+    """The (n, 500) kappa of 10k points is 40 MB; the solve holds one kappa
+    buffer of at most ROW_BLOCK_VALUES values (256 KiB) beside its 80 KB
+    output, and under 64 KB of grid vectors and input-check mask."""
     ys = np.random.default_rng(8).uniform(-1.0, 1.0, (10_000, 2))
     tracemalloc.start()
     try:
-        solve_bvp_batch(STUDY_BVP, ys)
+        u = solve_bvp_batch(STUDY_BVP, ys)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2_000_000
+    assert peak - u.nbytes <= 8 * ROW_BLOCK_VALUES + 64_000
 
 
 def test_config_validation():
