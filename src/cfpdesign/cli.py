@@ -139,7 +139,9 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_shared_options(p_design)
     p_design.add_argument("--degree", type=int, default=4)
     p_design.add_argument("--samples", type=int, help="points to select")
-    p_design.add_argument("--method", choices=("cfp", "afp"), default="cfp")
+    p_design.add_argument(
+        "--method", type=str.lower, choices=("cfp", "afp"), default="cfp"
+    )
     p_design.add_argument("--fit", choices=TARGETS, help="also fit this target")
     p_design.add_argument("--surrogate-output", help="JSON path for the fit")
 

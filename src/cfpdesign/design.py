@@ -160,9 +160,11 @@ class DesignResult:
             "det_modulus": _json_float(self.det_modulus),
             "condition_number": _json_float(self.condition_number),
             "space": self.space,
-            "seed": self.seed,
+            "seed": None if self.seed is None else int(self.seed),
             "config": {
-                k: list(v) if isinstance(v, tuple) else v
+                k: list(v) if isinstance(v, tuple)
+                else int(v) if isinstance(v, np.integer)
+                else v
                 for k, v in self.config.items()
             },
         }

@@ -69,8 +69,8 @@ class MultiIndexSet:
 
     def to_json(self) -> dict:
         return {
-            "dimension": self.dimension,
-            "indices": [list(a) for a in self.indices],
+            "dimension": int(self.dimension),
+            "indices": [[int(v) for v in a] for a in self.indices],
         }
 
     @classmethod

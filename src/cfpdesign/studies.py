@@ -408,16 +408,10 @@ def config_echo(config: StudyConfig, **extra) -> dict:
     return echo
 
 
-def _format_cell(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def render_csv(records: list[dict], fieldnames: tuple[str, ...], echo: dict) -> str:
     """Long-format CSV with `# key = value` comment lines up front."""
-    lines = [f"# {key} = {_format_cell(value)}" for key, value in echo.items()]
+    lines = [f"# {key} = {value}" for key, value in echo.items()]
     lines.append(",".join(fieldnames))
     for record in records:
-        lines.append(",".join(_format_cell(record[name]) for name in fieldnames))
+        lines.append(",".join(str(record[name]) for name in fieldnames))
     return "\n".join(lines) + "\n"

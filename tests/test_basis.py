@@ -31,6 +31,7 @@ from cfpdesign import (
     total_degree,
 )
 from cfpdesign.basis import RECURRENCE_CHUNK_POINTS, ROW_BLOCK_VALUES, vandermonde
+from oracles import christoffel_exact
 
 UNIFORM = DensitySpec.uniform()
 GAUSSIAN = DensitySpec.gaussian()
@@ -231,6 +232,43 @@ def test_christoffel_hand_values():
     assert christoffel(basis, [-1.0 / 3.0]) == pytest.approx(4.0 / 3.0, rel=1e-14)
     batch = christoffel(basis, [[1.0], [-1.0 / 3.0]])
     np.testing.assert_allclose(batch, [4.0, 4.0 / 3.0], rtol=1e-14)
+
+
+@pytest.mark.parametrize(
+    "density,dimension,degree,rule",
+    [
+        (UNIFORM, 1, 60, total_degree),
+        (GAUSSIAN, 1, 60, total_degree),
+        (UNIFORM, 2, 10, total_degree),
+        (GAUSSIAN, 2, 10, total_degree),
+        (GAUSSIAN, 4, 8, hyperbolic_cross),
+    ],
+)
+def test_christoffel_matches_exact_rational_sum(density, dimension, degree, rule):
+    """At 20 candidates, half of them from the asymptotic ensemble where K
+    is largest, the float sum keeps all but the last bits of the exact one
+    (worst seen 3.5e-15)."""
+    lam = rule(dimension, degree)
+    cands = candidate_set(density, dimension, 20, degree, 0)
+    got = christoffel(ProductBasis.for_density(density, lam), cands.points)
+    exact = [float(christoffel_exact(density.kind, lam, y)) for y in cands.points]
+    np.testing.assert_allclose(got, exact, rtol=1e-14)
+
+
+def test_christoffel_sum_at_hermite_degree_368_overflows_exactly_too():
+    """`design --family gaussian --dimension 1 --degree 350` stops at
+    candidate 5216 of its 10k draws, where the Christoffel sum of basis
+    degree 368 is inf. The exact sum is beyond the double range too
+    (log K = 727.85 > log DBL_MAX = 709.78), so inf is its rounding and not
+    an error of the float recurrence."""
+    y = candidate_set(GAUSSIAN, 1, 10_000, 368, 0).points[5216]
+    assert y[0] == -26.972091215997615
+    lam = total_degree(1, 368)
+    exact = christoffel_exact(GAUSSIAN.kind, lam, y)
+    log_k = math.log(exact.numerator) - math.log(exact.denominator)
+    assert log_k == pytest.approx(727.85, abs=0.01)
+    assert log_k > math.log(np.finfo(float).max)
+    assert christoffel(ProductBasis.for_density(GAUSSIAN, lam), y) == math.inf
 
 
 def test_christoffel_at_least_one_with_constant_in_span():

@@ -100,14 +100,16 @@ def test_design_reruns_are_identical(tmp_path):
 
 
 def test_design_afp_method(capsys):
-    code = main(
-        ["design", "--method", "afp", "--degree", "1", "--dimension", "1",
-         "--samples", "2", "--candidates", "100", "-o", "-"]
-    )
-    assert code == 0
-    payload = json.loads(capsys.readouterr().out)
+    argv = ["design", "--degree", "1", "--dimension", "1", "--samples", "2",
+            "--candidates", "100", "-o", "-", "--method"]
+    assert main(argv + ["afp"]) == 0
+    out = capsys.readouterr().out
+    payload = json.loads(out)
     assert payload["space"] == "P"
     assert payload["config"]["method"] == "afp"
+    # the method is read in any case, as --methods is
+    assert main(argv + ["AFP"]) == 0
+    assert capsys.readouterr().out == out
 
 
 def test_design_with_surrogate_fit(tmp_path):
@@ -438,7 +440,7 @@ def test_study_with_bad_degree_budget(capsys):
 
 @pytest.mark.parametrize(
     "line, option",
-    [("rule = td", "--rule"), ("method = CFP", "--method")],
+    [("rule = td", "--rule"), ("method = MC", "--method")],
 )
 def test_design_config_values_meet_flag_choices(tmp_path, capsys, line, option):
     cfg = tmp_path / "design.cfg"

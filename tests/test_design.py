@@ -27,6 +27,7 @@ import json
 import math
 import tracemalloc
 import warnings
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -74,6 +75,7 @@ from cfpdesign.studies import (
     _derive_seed,
     _select,
 )
+from oracles import abs_det
 
 UNIFORM = DensitySpec.uniform()
 GAUSSIAN = DensitySpec.gaussian()
@@ -366,7 +368,7 @@ def test_clustered_candidates_match_explicit_residual_greedy(select, space):
     of one cluster nearly tie (gaps down to 1e-12), so only P pivots are
     compared. The trace multiplies in each pick's Gram-Schmidt residual,
     not its downdated square, so its last entry keeps 8 digits of the
-    determinant."""
+    exact determinant of the picked rows."""
     cands = _clustered_candidates()
     lam = total_degree(1, 59)
     assert len(cands) > SHORTLIST_ROWS
@@ -382,10 +384,8 @@ def test_clustered_candidates_match_explicit_residual_greedy(select, space):
         for k in range(len(lam))
     ]
     np.testing.assert_allclose(got.objective_trace, expected, rtol=1e-6)
-    mpmath = pytest.importorskip("mpmath")
-    with mpmath.workdps(50):
-        det = abs(mpmath.det(mpmath.matrix(rows.tolist())))
-        assert float(abs(got.objective_trace[-1] / det - 1)) < 1e-8
+    det = abs_det(rows)
+    assert abs(Fraction(got.objective_trace[-1]) / det - 1) < 1e-8
 
 
 @pytest.mark.parametrize(
@@ -1022,6 +1022,10 @@ def test_design_result_to_json():
     assert blob["seed"] == 1
     assert len(blob["points"]) == 10
     assert blob["config"]["m_candidates"] == 100
+    # numpy integers for the seed and degree hint write the same JSON
+    wide = candidate_set(UNIFORM, 2, 100, np.int64(3), np.int64(1))
+    blob_wide = cfp_select(wide, total_degree(2, 3), 10).to_json()
+    assert json.dumps(blob_wide) == json.dumps(blob)
 
 
 def test_result_arrays_read_only():

@@ -9,6 +9,7 @@ import itertools
 import json
 import math
 
+import numpy as np
 import pytest
 
 import cfpdesign.multiindex
@@ -227,3 +228,8 @@ def test_json_round_trip():
     back = MultiIndexSet.from_json(json.loads(blob))
     assert back == lam
     assert list(back) == list(lam)
+    # a set built from numpy integers writes the same JSON
+    wide = MultiIndexSet(
+        np.int64(3), tuple(tuple(np.int64(a) for a in alpha) for alpha in lam)
+    )
+    assert json.dumps(wide.to_json()) == blob

@@ -226,6 +226,16 @@ def test_render_csv_format():
         "method,degree,N,M,stat,value\n"
         "CFP,2,6,7,mean,0.3333333333333333\n"
     )
+    # a numpy scalar is written as its number, not as numpy's repr
+    records[0]["value"] = np.float64(1.5)
+    echo["ratio"] = np.float64(1.5)
+    assert render_csv(records, STUDY_FIELDS, echo) == (
+        "# version = 9.9.9\n"
+        "# flag = True\n"
+        "# ratio = 1.5\n"
+        "method,degree,N,M,stat,value\n"
+        "CFP,2,6,7,mean,1.5\n"
+    )
 
 
 def test_config_echo_layout():
