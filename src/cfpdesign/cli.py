@@ -31,8 +31,9 @@ from dataclasses import fields
 
 from . import __version__
 from .basis import ProductBasis
+from .orthopoly import FAMILIES
 from .studies import (
-    FAMILIES,
+    _ANALYTIC_TARGETS,
     RULES,
     STUDY_FIELDS,
     TARGETS,
@@ -82,11 +83,14 @@ def _read_config_file(path: str) -> dict[str, str]:
 
 def _with_config_file(args: argparse.Namespace, argv: list[str]) -> list[str]:
     """argv with the file's `--key=value` tokens right after the subcommand
-    words, so they meet the checks of their flags and explicit flags win."""
+    words, so they meet the checks of their flags and explicit flags win.
+    The file names only the command's own options: not the subcommand words,
+    and not `config`, whose file would go unread."""
+    options = vars(args).keys() - {"config", "command", "study_kind", "verify_kind"}
     tokens = []
     for key, value in _read_config_file(args.config).items():
         # exact names only: argparse alone would take `degree` for `--degrees`
-        if key.replace("-", "_") not in vars(args):
+        if key.replace("-", "_") not in options:
             raise ValueError(f"unknown config key {key!r}")
         tokens.append(f"--{key}={value}")
     words = 1 if args.command == "design" else 2
@@ -159,7 +163,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p_kind.add_argument("--validation-samples", type=int)
         if kind == "approx":
             # the elliptic target is `study elliptic`, with its own options
-            analytic = tuple(t for t in TARGETS if t != "elliptic")
+            analytic = tuple(_ANALYTIC_TARGETS)
             p_kind.add_argument("--target", choices=analytic, default="exp_negsumsq")
         if kind == "elliptic":
             p_kind.add_argument("--elliptic-sigma", type=float)

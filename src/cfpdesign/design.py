@@ -83,6 +83,10 @@ SHORTLIST_ROWS = 512
 # buffer (32 MB in OpenBLAS) and row-block temporaries took 33-34 MB under
 # `ulimit -v` at degrees 30 and 60
 SELECTION_SLACK_BYTES = 64 << 20
+# address space a candidate draw maps beyond its three live (m, d) float64
+# arrays (the two halves with their stack, then CandidateSet's copy): 7.3 MB
+# under `ulimit -v` at 0.6, 1.5 and 2.5 GB
+DRAW_SLACK_BYTES = 8 << 20
 
 REFERENCE_MAX_CANDIDATES = 1000
 ORACLE_MAX_SUBSETS = 10**6
@@ -212,6 +216,11 @@ def candidate_set(
             "mixed uniform/gaussian coordinates have no single asymptotic "
             "ensemble; unsupported"
         )
+    _check_memory(
+        3 * 8 * m_total * dimension + DRAW_SLACK_BYTES,
+        "the candidate draw",
+        "fewer candidates (--candidates)",
+    )
 
     half = m_total // 2
     rng_iid = np.random.default_rng(np.random.SeedSequence([seed, 0]))
@@ -362,11 +371,15 @@ def _selection_basis(
     return ProductBasis.for_density(candidates.densities, index_set)
 
 
-def _check_memory(need: int) -> None:
-    """Raise ValueError when need bytes exceed what the soft address-space
-    limit (RLIMIT_AS) leaves the process: the limit less the mapped size,
-    read from /proc/self/statm when a limit is set. Without /proc the whole
-    limit counts as left."""
+def _check_memory(
+    need: int,
+    what: str = "the selection",
+    remedy: str = "fewer candidates (--candidates) or a lower degree (--degree)",
+) -> None:
+    """Raise ValueError, naming what needs the memory and the remedy, when
+    need bytes exceed what the soft address-space limit (RLIMIT_AS) leaves
+    the process: the limit less the mapped size, read from /proc/self/statm
+    when a limit is set. Without /proc the whole limit counts as left."""
     if resource is None:
         return
     limit = resource.getrlimit(resource.RLIMIT_AS)[0]
@@ -379,10 +392,9 @@ def _check_memory(need: int) -> None:
         left = limit
     if need > left:
         raise ValueError(
-            f"the selection needs {need / 1e9:.2f} GB, more than the "
+            f"{what} needs {need / 1e9:.2f} GB, more than the "
             f"{max(left, 0) / 1e9:.2f} GB left under the process's "
-            "address-space limit; use fewer candidates (--candidates) or a "
-            "lower degree (--degree)"
+            f"address-space limit; use {remedy}"
         )
 
 

@@ -37,6 +37,8 @@ __all__ = [
 
 UNIFORM = "uniform"
 GAUSSIAN = "gaussian"
+# the supported density kinds; recurrence_coefficients holds each one's b_n
+FAMILIES = (UNIFORM, GAUSSIAN)
 
 # |phi_{N-1}(y)| below this (relative) threshold marks y as a pole of r_N
 POLE_RTOL = 1e-12
@@ -72,8 +74,8 @@ class DensitySpec:
     kind: str
 
     def __post_init__(self):
-        if self.kind not in (UNIFORM, GAUSSIAN):
-            raise ValueError(f"unsupported density kind: {self.kind!r}")
+        if self.kind not in FAMILIES:
+            raise ValueError(f"family must be one of {FAMILIES}, got {self.kind!r}")
 
     @classmethod
     def uniform(cls) -> "DensitySpec":

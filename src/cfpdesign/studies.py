@@ -55,8 +55,8 @@ __all__ = [
     "resolve_target",
 ]
 
-FAMILIES = ("uniform", "gaussian")
-RULES = ("TD", "HC")
+_INDEX_SETS = {"TD": total_degree, "HC": hyperbolic_cross}
+RULES = tuple(_INDEX_SETS)
 METHODS = ("CFP", "AFP", "MC")
 
 _METHOD_ID = {"CFP": 0, "AFP": 1, "MC": 2}
@@ -88,8 +88,11 @@ class StudyConfig:
     elliptic_grid_points: int = EllipticConfig.grid_points
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValueError(f"family must be one of {FAMILIES}")
+        # a list from a caller becomes a tuple, so the config hashes,
+        # compares and echoes as the tuple config does
+        for name in ("degrees", "methods"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+        DensitySpec(self.family)  # the package's one family check
         if self.rule not in RULES:
             raise ValueError(f"rule must be one of {RULES}")
         if self.dimension < 1:
@@ -133,8 +136,7 @@ def _derive_seed(*parts: int) -> int:
 def _degree_setup(config: StudyConfig, degree: int, m_points: int | None = None):
     """(lam, M) for one degree; M defaults to ceil(oversampling * N), and
     _select checks it against the candidates."""
-    build = total_degree if config.rule == "TD" else hyperbolic_cross
-    lam = build(config.dimension, degree)
+    lam = _INDEX_SETS[config.rule](config.dimension, degree)
     if m_points is None:
         wanted = config.oversampling * len(lam)
         # enrich's size guard, checked before math.ceil can meet inf
@@ -253,25 +255,20 @@ def study_condition(config: StudyConfig) -> list[dict]:
     return _sweep(config, kappa)
 
 
-def _target_exp_negsumsq(y: np.ndarray) -> np.ndarray:
-    return np.exp(-np.sum(y * y, axis=1))
-
-
-def _target_exp_negsum(y: np.ndarray) -> np.ndarray:
-    return np.exp(-np.sum(y, axis=1))
-
-
-TARGETS = ("exp_negsumsq", "exp_negsum", "elliptic")
+# analytic targets by id, each a batch callable (n, d) -> (n,)
+_ANALYTIC_TARGETS = {
+    "exp_negsumsq": lambda y: np.exp(-np.sum(y * y, axis=1)),
+    "exp_negsum": lambda y: np.exp(-np.sum(y, axis=1)),
+}
+TARGETS = (*_ANALYTIC_TARGETS, "elliptic")
 
 
 def resolve_target(config: StudyConfig, target):
     """Map a target id to a batch callable (n, d) -> (n,)."""
     if callable(target):  # test hook: any batch callable works
         return target
-    if target == "exp_negsumsq":
-        return _target_exp_negsumsq
-    if target == "exp_negsum":
-        return _target_exp_negsum
+    if target in _ANALYTIC_TARGETS:
+        return _ANALYTIC_TARGETS[target]
     if target == "elliptic":
         if config.family != "uniform":
             raise ValueError(
@@ -344,11 +341,9 @@ def verify_oned(family: str, n_max: int) -> list[dict]:
     nodes, both spectrally and through the greedy selection with the root
     placed at candidate index 0.
     """
-    if family not in FAMILIES:
-        raise ValueError(f"family must be one of {FAMILIES}")
+    density = DensitySpec(family)
     if n_max < 1:
         raise ValueError("n_max must be positive")
-    density = DensitySpec(family)
     table = recurrence_coefficients(density, max(2 * n_max - 2, n_max, 1))
     records = []
     for n in range(1, n_max + 1):

@@ -25,6 +25,7 @@ from cfpdesign import (
     eval_rows,
     gauss_rule,
     hyperbolic_cross,
+    level_set,
     recurrence_coefficients,
     sample_density,
     solve_weighted,
@@ -269,6 +270,35 @@ def test_christoffel_sum_at_hermite_degree_368_overflows_exactly_too():
     assert log_k == pytest.approx(727.85, abs=0.01)
     assert log_k > math.log(np.finfo(float).max)
     assert christoffel(ProductBasis.for_density(GAUSSIAN, lam), y) == math.inf
+
+
+@pytest.mark.parametrize(
+    "density, n, start, lowest, log_k",
+    [
+        (UNIFORM, 69, -0.38, -265.74247835270575, 853.04),
+        (GAUSSIAN, 82, 0.74, -359.62951269253284, 731.43),
+    ],
+    ids=["uniform-69", "gaussian-82"],
+)
+def test_christoffel_sum_at_verify_oned_overflow_points_is_beyond_doubles(
+    density, n, start, lowest, log_k
+):
+    """`verify oned` stops at the lowest node of the level set of order n
+    through `start` (n_max 69 uniform, 100 Gaussian), where the Christoffel
+    sum of basis degree n - 1 is inf. The exact sum is beyond the double
+    range too, so inf is its rounding and not an error of the float
+    recurrence."""
+    table = recurrence_coefficients(density, 2 * n - 2)  # verify_oned's table
+    y = level_set(table, n, start)[0]
+    assert y == lowest
+    lam = total_degree(1, n - 1)
+    exact = christoffel_exact(density.kind, lam, [y])
+    got_log_k = math.log(exact.numerator) - math.log(exact.denominator)
+    assert got_log_k == pytest.approx(log_k, abs=0.01)
+    assert got_log_k > math.log(np.finfo(float).max)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert christoffel(ProductBasis.for_density(density, lam), [y]) == math.inf
 
 
 def test_christoffel_at_least_one_with_constant_in_span():

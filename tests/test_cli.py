@@ -264,6 +264,15 @@ def test_config_file_unknown_key(tmp_path, capsys):
     _fails_with(capsys, argv, "unknown config key 'mystery'")
     cfg.write_text("degree = 3\n")  # argparse alone would read it as --degrees
     _fails_with(capsys, argv, "unknown config key 'degree'")
+    # names the parser holds that are no option of the command: a nested
+    # config file would go unread, and the subcommand words are not flags
+    verify = ["verify", "oned", "--config", str(cfg)]
+    for command, key in [
+        (argv, "config"), (argv, "command"), (argv, "study-kind"),
+        (verify, "verify-kind"),
+    ]:
+        cfg.write_text(f"{key} = other\n")
+        _fails_with(capsys, command, f"unknown config key {key!r}")
 
 
 def test_config_file_malformed_line(tmp_path, capsys):
@@ -382,6 +391,37 @@ def test_design_beyond_the_address_space_limit_exits_2(monkeypatch, capsys):
         "the selection needs 1.83 GB, more than the 1.50 GB left under the "
         "process's address-space limit; use fewer candidates (--candidates) or "
         "a lower degree (--degree)",
+    )
+
+
+@pytest.mark.skipif(design.resource is None, reason="no address-space limit")
+@pytest.mark.parametrize(
+    "argv, where",
+    [
+        (["design", "--degree", "2"], ""),
+        (["study", "cond", "--methods", "CFP", "--degrees", "2", "--trials", "1"],
+         "CFP degree 2 trial 0: "),
+    ],
+    ids=["design", "study cond"],
+)
+def test_candidate_draw_beyond_the_address_space_limit_exits_2(
+    monkeypatch, capsys, argv, where
+):
+    """1e8 two-dimensional candidates: the two halves, their stack and the
+    set's copy take 3 * 1.6 GB and the draw 8 MiB more, so under a 1.5 GB
+    limit the request is refused with one error line before a point is
+    drawn."""
+    monkeypatch.setattr(design.resource, "getrlimit", lambda which: (1_500_000_000, -1))
+    monkeypatch.setattr(design, "open", lambda path: io.StringIO("0\n"), raising=False)
+    monkeypatch.setattr(
+        design, "_sample_points", lambda *args: pytest.fail("candidates drawn")
+    )
+    _fails_with(
+        capsys,
+        [*argv, "--candidates", "100000000", "-o", "-"],
+        f"{where}the candidate draw needs 4.81 GB, more than the 1.50 GB left "
+        "under the process's address-space limit; use fewer candidates "
+        "(--candidates)",
     )
 
 

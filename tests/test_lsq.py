@@ -6,8 +6,6 @@ basis, for both the weighted and the plain solver, on overdetermined and
 square systems alike.
 """
 
-import math
-
 import numpy as np
 import pytest
 

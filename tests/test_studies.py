@@ -77,6 +77,22 @@ def test_condition_study_schema():
         assert cell["q20"] <= cell["q80"]
 
 
+def test_list_fields_act_as_the_tuple_config():
+    """degrees and methods given as lists: the config equals, hashes and
+    writes the same CSV bytes as the tuple config."""
+    common = dict(trials=2, candidates=200)
+    listed = StudyConfig(degrees=[2, 3], methods=["CFP", "MC"], **common)
+    tupled = StudyConfig(degrees=(2, 3), methods=("CFP", "MC"), **common)
+    assert listed == tupled
+    assert hash(listed) == hash(tupled)
+    texts = [
+        render_csv(study_condition(cfg), STUDY_FIELDS, config_echo(cfg, study="cond"))
+        for cfg in (listed, tupled)
+    ]
+    assert texts[0] == texts[1]
+    assert "# degrees = 2,3\n# oversampling" in texts[0]
+
+
 def test_sweep_quantiles_equal_numpy_bit_for_bit():
     """The sweep's q20/q80 are numpy's default linear quantiles, float64
     bytes and all, for every trial count up to 60: seeded draws over
