@@ -35,9 +35,7 @@ from .orthopoly import FAMILIES
 from .studies import (
     _ANALYTIC_TARGETS,
     RULES,
-    STUDY_FIELDS,
     TARGETS,
-    VERIFY_FIELDS,
     StudyConfig,
     _degree_setup,
     _select,
@@ -219,7 +217,7 @@ def _run_study(args: argparse.Namespace) -> int:
         target = "elliptic" if args.study_kind == "elliptic" else args.target
         records = study_approx(config, target)
         echo = config_echo(config, study=args.study_kind, target=target)
-    _write(args.output, render_csv(records, STUDY_FIELDS, echo))
+    _write(args.output, render_csv(records, echo))
     return 0
 
 
@@ -231,7 +229,7 @@ def _run_verify(args: argparse.Namespace) -> int:
         "family": args.family,
         "n_max": args.n_max,
     }
-    _write(args.output, render_csv(records, VERIFY_FIELDS, echo))
+    _write(args.output, render_csv(records, echo))
     return 0
 
 
@@ -247,8 +245,10 @@ def main(argv=None) -> int:
         if args.command == "study":
             return _run_study(args)
         return _run_verify(args)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:
+        # numpy's allocation error names the size; a bare MemoryError is empty
+        bare = isinstance(exc, MemoryError) and not str(exc)
+        print(f"error: {'out of memory' if bare else exc}", file=sys.stderr)
         return 2
 
 

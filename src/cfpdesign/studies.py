@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import __version__
+from . import __version__, multiindex
 from .basis import (
     ProductBasis,
     _det_and_cond,
@@ -32,7 +32,7 @@ from .design import (
 )
 from .elliptic import EllipticConfig, solve_bvp_batch
 from .lsq import solve_unweighted, solve_weighted, validation_error
-from .multiindex import MAX_SET_SIZE, MultiIndexSet, enrich, hyperbolic_cross, total_degree
+from .multiindex import MAX_SET_SIZE, MultiIndexSet, enrich, total_degree
 from .orthopoly import (
     DensitySpec,
     _sample_points,
@@ -45,8 +45,6 @@ from .orthopoly import (
 __all__ = [
     "StudyConfig",
     "TARGETS",
-    "STUDY_FIELDS",
-    "VERIFY_FIELDS",
     "study_condition",
     "study_approx",
     "verify_oned",
@@ -55,7 +53,8 @@ __all__ = [
     "resolve_target",
 ]
 
-_INDEX_SETS = {"TD": total_degree, "HC": hyperbolic_cross}
+# builder names, looked up in multiindex at each call so a wrapper bound there sees it
+_INDEX_SETS = {"TD": "total_degree", "HC": "hyperbolic_cross"}
 RULES = tuple(_INDEX_SETS)
 METHODS = ("CFP", "AFP", "MC")
 
@@ -63,9 +62,6 @@ _METHOD_ID = {"CFP": 0, "AFP": 1, "MC": 2}
 _STREAM_CANDIDATES = 10
 _STREAM_MC = 11
 _STREAM_VALIDATION = 12
-
-STUDY_FIELDS = ("method", "degree", "N", "M", "stat", "value")
-VERIFY_FIELDS = ("family", "N", "start", "check", "value", "threshold", "status")
 
 
 @dataclass(frozen=True)
@@ -136,7 +132,7 @@ def _derive_seed(*parts: int) -> int:
 def _degree_setup(config: StudyConfig, degree: int, m_points: int | None = None):
     """(lam, M) for one degree; M defaults to ceil(oversampling * N), and
     _select checks it against the candidates."""
-    lam = _INDEX_SETS[config.rule](config.dimension, degree)
+    lam = getattr(multiindex, _INDEX_SETS[config.rule])(config.dimension, degree)
     if m_points is None:
         wanted = config.oversampling * len(lam)
         # enrich's size guard, checked before math.ceil can meet inf
@@ -216,7 +212,8 @@ def _sweep(config: StudyConfig, trial_value) -> list[dict]:
     trial_value(method, basis, points, degree, trial) scores one trial's
     design; basis spans the unenriched index set. A ValueError from a trial
     is raised again as the same type, its message prefixed with the cell
-    and trial, such as "AFP degree 30 trial 0: ".
+    and trial, such as "AFP degree 30 trial 0: "; a MemoryError is raised
+    again as a plain MemoryError with the same prefix.
     """
     records = []
     for method in config.methods:
@@ -225,14 +222,17 @@ def _sweep(config: StudyConfig, trial_value) -> list[dict]:
             basis = ProductBasis.for_density(config.density, lam)
             values = np.empty(config.trials)
             for trial in range(config.trials):
+                where = f"{method} degree {degree} trial {trial}"
                 try:
                     points = _design_points(
                         config, method, lam, m_points, degree, trial
                     )
                     values[trial] = trial_value(method, basis, points, degree, trial)
                 except ValueError as exc:
-                    where = f"{method} degree {degree} trial {trial}"
                     raise type(exc)(f"{where}: {exc}") from exc
+                except MemoryError as exc:  # numpy's subclass takes no message
+                    cause = str(exc) or "out of memory"
+                    raise MemoryError(f"{where}: {cause}") from exc
             q20, q80 = _quantiles_20_80(values)
             cell = {"method": method, "degree": degree, "N": len(lam), "M": m_points}
             for stat, value in (("mean", values.mean()), ("q20", q20), ("q80", q80)):
@@ -344,11 +344,11 @@ def verify_oned(family: str, n_max: int) -> list[dict]:
     density = DensitySpec(family)
     if n_max < 1:
         raise ValueError("n_max must be positive")
-    table = recurrence_coefficients(density, max(2 * n_max - 2, n_max, 1))
+    table = recurrence_coefficients(density, max(2 * n_max - 2, 1))
     records = []
     for n in range(1, n_max + 1):
-        lam = MultiIndexSet(1, tuple((k,) for k in range(n)))
-        basis = ProductBasis.for_density(density, lam)
+        lam = total_degree(1, n - 1)
+        basis = ProductBasis((table,), lam)
         gauss_nodes, _ = gauss_rule(table, n)
         starts = [(repr(y), float(y)) for y in _SWEEP_STARTS[family]]
         starts.append(("gauss", float(gauss_nodes[-1])))
@@ -403,10 +403,10 @@ def config_echo(config: StudyConfig, **extra) -> dict:
     return echo
 
 
-def render_csv(records: list[dict], fieldnames: tuple[str, ...], echo: dict) -> str:
-    """Long-format CSV with `# key = value` comment lines up front."""
+def render_csv(records: list[dict], echo: dict) -> str:
+    """`# key = value` lines, then a header of the first record's keys, then rows."""
     lines = [f"# {key} = {value}" for key, value in echo.items()]
-    lines.append(",".join(fieldnames))
+    lines.append(",".join(records[0]))
     for record in records:
-        lines.append(",".join(str(record[name]) for name in fieldnames))
+        lines.append(",".join(str(record[key]) for key in records[0]))
     return "\n".join(lines) + "\n"

@@ -8,6 +8,7 @@ bytes, since the CSV text is part of the reproducibility contract.
 import io
 import json
 
+import numpy as np
 import pytest
 
 from cfpdesign import (
@@ -22,7 +23,7 @@ from cfpdesign import (
     total_degree,
 )
 from cfpdesign import basis as basis_module
-from cfpdesign import design, studies
+from cfpdesign import cli, design, studies
 from cfpdesign.cli import _build_parser, main
 
 
@@ -468,6 +469,42 @@ def test_study_error_names_its_cell(capsys):
         capsys, argv,
         "AFP degree 30 trial 0: candidate rows reached rank 24 before 33 pivots",
     )
+
+
+@pytest.mark.parametrize(
+    "shape, cause",
+    [((2**28, 2**28), "Unable to allocate "), (None, "out of memory")],
+    ids=["numpy allocation", "bare MemoryError"],
+)
+def test_study_cell_out_of_memory_exits_2_naming_the_cell(
+    monkeypatch, capsys, shape, cause
+):
+    """A Monte Carlo cell draws no candidates, so no size check runs before
+    its rows; running out of memory there exits 2 with one line naming the
+    cell. numpy's allocation error cannot be built from a message, and a
+    bare MemoryError has none."""
+
+    def out_of_memory(rows):
+        if shape is None:
+            raise MemoryError
+        np.empty(shape)
+
+    monkeypatch.setattr(studies, "condition_number", out_of_memory)
+    argv = ["study", "cond", "--methods", "MC", "--degrees", "3", "--trials", "1"]
+    assert _exit_code(argv + ["-o", "-"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: MC degree 3 trial 0: {cause}")
+    assert captured.err.count("\n") == 1
+
+
+def test_design_fit_out_of_memory_exits_2(monkeypatch, capsys):
+    def solve(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "_solver", lambda method: solve)
+    argv = ["design", "--candidates", "200", "--fit", "exp_negsumsq", "-o", "-"]
+    _fails_with(capsys, argv, "out of memory")
 
 
 def test_study_with_bad_degree_budget(capsys):

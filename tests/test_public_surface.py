@@ -69,7 +69,7 @@ SURFACE = {
     "Surrogate", "solve_weighted", "solve_unweighted", "eval_surrogate",
     "validation_error",
     "EllipticConfig", "diffusivity", "solve_bvp", "solve_bvp_batch",
-    "StudyConfig", "TARGETS", "STUDY_FIELDS", "VERIFY_FIELDS",
+    "StudyConfig", "TARGETS",
     "study_condition", "study_approx", "verify_oned", "render_csv",
     "config_echo", "resolve_target",
 }
@@ -81,7 +81,7 @@ def test_package_exports_exactly_its_modules_names():
         expected += getattr(cfpdesign, module).__all__
     assert cfpdesign.__all__ == expected
     assert set(cfpdesign.__all__) == SURFACE
-    assert len(SURFACE) == 47
+    assert len(SURFACE) == 45
 
 
 def test_value_type_fields():

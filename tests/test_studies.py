@@ -7,13 +7,12 @@ pass wholesale. CSV rendering is checked character by character.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from cfpdesign import (
-    STUDY_FIELDS,
-    VERIFY_FIELDS,
     StudyConfig,
     config_echo,
     hyperbolic_cross,
@@ -24,7 +23,7 @@ from cfpdesign import (
     total_degree,
     verify_oned,
 )
-from cfpdesign import __version__, studies
+from cfpdesign import __version__, multiindex, studies
 from cfpdesign.studies import _quantiles_20_80
 
 
@@ -63,7 +62,7 @@ def test_condition_study_schema():
     # three stats per (method, degree) cell
     assert len(records) == 3 * 3 * 2
     for r in records:
-        assert tuple(r) == STUDY_FIELDS
+        assert tuple(r) == ("method", "degree", "N", "M", "stat", "value")
         k = r["degree"]
         assert r["N"] == len(total_degree(2, k))
         assert r["M"] == math.ceil(1.05 * r["N"])
@@ -86,7 +85,7 @@ def test_list_fields_act_as_the_tuple_config():
     assert listed == tupled
     assert hash(listed) == hash(tupled)
     texts = [
-        render_csv(study_condition(cfg), STUDY_FIELDS, config_echo(cfg, study="cond"))
+        render_csv(study_condition(cfg), config_echo(cfg, study="cond"))
         for cfg in (listed, tupled)
     ]
     assert texts[0] == texts[1]
@@ -157,6 +156,28 @@ def test_hyperbolic_cross_study_runs():
     assert records[0]["N"] == len(hyperbolic_cross(2, 3))
 
 
+@pytest.mark.parametrize("rule", ["TD", "HC"])
+def test_index_set_builds_reach_wrappers_bound_in_their_modules(monkeypatch, rule):
+    """A tracer wraps a builder at every module attribute bound to it; the
+    sweep's index-set build goes through such a wrapper."""
+    calls = []
+    for name in ("total_degree", "hyperbolic_cross"):
+        builder = getattr(multiindex, name)
+
+        def counted(*args, _name=name, _builder=builder):
+            calls.append(_name)
+            return _builder(*args)
+
+        for module in list(sys.modules.values()):
+            if module is not None and module.__name__.startswith("cfpdesign"):
+                if getattr(module, name, None) is builder:
+                    monkeypatch.setattr(module, name, counted)
+    lam, m_points = studies._degree_setup(StudyConfig(rule=rule), 3)
+    expected = "total_degree" if rule == "TD" else "hyperbolic_cross"
+    assert calls == [expected]
+    assert lam == getattr(multiindex, expected)(2, 3)
+
+
 def test_candidate_budget_guard():
     """_select checks M against the candidates; the sweep names the cell."""
     cfg = StudyConfig(degrees=(5,), trials=1, candidates=10)
@@ -204,7 +225,9 @@ def test_verify_oned_passes_everywhere(family):
     # per order: six starts with six checks each, plus two gauss extras
     assert len(records) == 4 * (6 * 6 + 2)
     for r in records:
-        assert tuple(r) == VERIFY_FIELDS
+        assert tuple(r) == (
+            "family", "N", "start", "check", "value", "threshold", "status"
+        )
         assert r["status"] == "PASS", r
     starts = {r["start"] for r in records if r["N"] == 3}
     assert "gauss" in starts
@@ -234,7 +257,7 @@ def test_render_csv_format():
         {"method": "CFP", "degree": 2, "N": 6, "M": 7, "stat": "mean", "value": 1.0 / 3.0},
     ]
     echo = {"version": "9.9.9", "flag": True, "ratio": 1.5}
-    text = render_csv(records, STUDY_FIELDS, echo)
+    text = render_csv(records, echo)
     assert text == (
         "# version = 9.9.9\n"
         "# flag = True\n"
@@ -245,7 +268,7 @@ def test_render_csv_format():
     # a numpy scalar is written as its number, not as numpy's repr
     records[0]["value"] = np.float64(1.5)
     echo["ratio"] = np.float64(1.5)
-    assert render_csv(records, STUDY_FIELDS, echo) == (
+    assert render_csv(records, echo) == (
         "# version = 9.9.9\n"
         "# flag = True\n"
         "# ratio = 1.5\n"
@@ -267,13 +290,13 @@ def test_config_echo_layout():
 
 def test_studies_are_byte_identical_across_reruns():
     cfg = StudyConfig(degrees=(2,), trials=2, candidates=100, methods=("CFP", "MC"))
-    first = render_csv(study_condition(cfg), STUDY_FIELDS, config_echo(cfg))
-    second = render_csv(study_condition(cfg), STUDY_FIELDS, config_echo(cfg))
+    first = render_csv(study_condition(cfg), config_echo(cfg))
+    second = render_csv(study_condition(cfg), config_echo(cfg))
     assert first == second
     moved = StudyConfig(
         degrees=(2,), trials=2, candidates=100, methods=("CFP", "MC"), seed=1
     )
-    assert render_csv(study_condition(moved), STUDY_FIELDS, config_echo(moved)) != first
+    assert render_csv(study_condition(moved), config_echo(moved)) != first
 
 
 def test_approx_study_byte_identical_with_elliptic_target():
@@ -281,6 +304,6 @@ def test_approx_study_byte_identical_with_elliptic_target():
         degrees=(1,), trials=2, candidates=100, methods=("CFP",),
         validation_samples=50, elliptic_grid_points=101,
     )
-    a = render_csv(study_approx(cfg, "elliptic"), STUDY_FIELDS, config_echo(cfg))
-    b = render_csv(study_approx(cfg, "elliptic"), STUDY_FIELDS, config_echo(cfg))
+    a = render_csv(study_approx(cfg, "elliptic"), config_echo(cfg))
+    b = render_csv(study_approx(cfg, "elliptic"), config_echo(cfg))
     assert a == b
