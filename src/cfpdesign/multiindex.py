@@ -3,16 +3,16 @@
 Sets are ordered: graded first by total degree, then reverse lexicographic
 within each grade (alpha precedes beta when the last nonzero entry of
 alpha - beta is negative). The ordering is part of the value; enrichment
-appends to an existing set without re-sorting it. One enumerator, _grade,
-yields each grade in this order; every set is built from its grades, so
-none is sorted after the fact.
+appends to an existing set without re-sorting it. One stream, _grevlex,
+yields every index in this order, at most min(d, g) + 1 generators deep at
+grade g; every set is read from it, so none is sorted after the fact.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
+from itertools import count, islice
 
 __all__ = [
     "MultiIndexSet",
@@ -81,23 +81,32 @@ class MultiIndexSet:
         )
 
 
-def _grade(d: int, g: int, budget: int | None = None):
-    """The multi-indices of total degree g, in grevlex order; with a budget,
-    only those with prod(alpha_j + 1) <= budget.
+def _grevlex(d: int, budget: int | None = None):
+    """Every multi-index in grevlex order, grade after grade; with a budget,
+    those with prod(alpha_j + 1) <= budget, all below grade budget.
 
-    The smallest such product in grade g is g + 1, with all of g in one
-    coordinate, so a grade with g >= budget is empty and returns at once;
-    every call that goes on yields at least that index.
+    One shared list is filled through its nonzero entries: the first
+    coordinate takes the units left, and each level places one entry below
+    its caller's, so a grade-g index is at most min(d, g) + 1 generators deep.
+    share is the budget floor-divided by the products placed; left >= share
+    cuts a branch, whose least product, left + 1, is its first index's. With
+    no budget, grade g takes 2^g, which no product in it exceeds (a + 1 <= 2^a).
     """
-    if budget is not None and g >= budget:
-        return
-    if d == 1:
-        yield (g,)
-        return
-    for last in range(g + 1):
-        rest = None if budget is None else budget // (last + 1)
-        for head in _grade(d - 1, g - last, rest):
-            yield head + (last,)
+    alpha = [0] * d
+
+    def walk(limit, left, share):
+        if left >= share:
+            return
+        alpha[0] = left
+        yield tuple(alpha)
+        for j in range(1, limit):
+            for v in range(1, left + 1):
+                alpha[j] = v
+                yield from walk(j, left - v, share // (v + 1))
+            alpha[j] = 0
+
+    for g in count() if budget is None else range(budget):
+        yield from walk(d, g, 2**g if budget is None else budget)
 
 
 def total_degree(dimension: int, degree: int) -> MultiIndexSet:
@@ -107,24 +116,18 @@ def total_degree(dimension: int, degree: int) -> MultiIndexSet:
     size = math.comb(degree + dimension, dimension)
     if size > MAX_SET_SIZE:
         raise ValueError(f"total-degree set would have {size} indices")
-    return MultiIndexSet(
-        dimension,
-        tuple(a for g in range(degree + 1) for a in _grade(dimension, g)),
-    )
+    return MultiIndexSet(dimension, tuple(islice(_grevlex(dimension), size)))
 
 
 def hyperbolic_cross(dimension: int, degree: int) -> MultiIndexSet:
     """All alpha with prod(alpha_j + 1) <= degree + 1, grevlex-ordered.
 
-    Grades 0..degree come from _grade with the budget degree + 1, so the
-    indices arrive in order; more than MAX_SET_SIZE of them raise.
+    They come from _grevlex with the budget degree + 1, so they arrive in
+    order; more than MAX_SET_SIZE of them raise.
     """
     if dimension < 1 or degree < 0:
         raise ValueError("need dimension >= 1 and degree >= 0")
-    grades = itertools.chain.from_iterable(
-        _grade(dimension, g, degree + 1) for g in range(degree + 1)
-    )
-    indices = tuple(itertools.islice(grades, MAX_SET_SIZE + 1))
+    indices = tuple(islice(_grevlex(dimension, degree + 1), MAX_SET_SIZE + 1))
     if len(indices) > MAX_SET_SIZE:
         raise ValueError("hyperbolic-cross set exceeds the size guard")
     return MultiIndexSet(dimension, indices)
@@ -145,10 +148,10 @@ def enrich(index_set: MultiIndexSet, extra: int) -> MultiIndexSet:
     """Append the first `extra` multi-indices in grevlex order that are not
     in the set.
 
-    Grades are enumerated one at a time, lowest first, until enough are
-    found. Each total-degree set is a grevlex prefix of the next, so these
-    are the grevlex-ordered members of the smallest total-degree superset
-    that has `extra` indices outside the set.
+    They are read from the grevlex stream until enough are found. Each
+    total-degree set is a grevlex prefix of the next, so these are the
+    grevlex-ordered members of the smallest total-degree superset that has
+    `extra` indices outside the set.
     """
     if not is_downward_closed(index_set):
         raise ValueError("enrichment requires a downward-closed index set")
@@ -159,11 +162,6 @@ def enrich(index_set: MultiIndexSet, extra: int) -> MultiIndexSet:
             f"enriched set would have {len(index_set) + extra} indices, "
             f"more than the size guard of {MAX_SET_SIZE}"
         )
-    found: list[tuple[int, ...]] = []
-    grade = 0
-    while len(found) < extra:
-        found += [a for a in _grade(index_set.dimension, grade) if a not in index_set]
-        grade += 1
-    return MultiIndexSet(
-        index_set.dimension, index_set.indices + tuple(found[:extra])
-    )
+    outside = (a for a in _grevlex(index_set.dimension) if a not in index_set)
+    indices = index_set.indices + tuple(islice(outside, extra))
+    return MultiIndexSet(index_set.dimension, indices)

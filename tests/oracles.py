@@ -1,8 +1,10 @@
-"""Exact oracles for the tests, in rational arithmetic.
+"""Oracles for the tests: exact ones in rational arithmetic, and the
+recursive grevlex enumerator the package's index sets once came from.
 
-Every float is a dyadic rational, so these compute with the exact values
-of their float inputs and round nothing. They share no code with the
-package: the recurrence weights are restated here, not read from it.
+Every float is a dyadic rational, so the exact oracles compute with the
+exact values of their float inputs and round nothing. They share no code
+with the package: the recurrence weights are restated here, not read from
+it.
 """
 
 from fractions import Fraction
@@ -75,3 +77,22 @@ def christoffel_exact(kind: str, index_set, y) -> Fraction:
             term *= squares[j][a]
         total += term
     return total
+
+
+def _grade(d: int, g: int, budget: int | None = None):
+    """The multi-indices of total degree g, in grevlex order; with a budget,
+    only those with prod(alpha_j + 1) <= budget.
+
+    The smallest such product in grade g is g + 1, with all of g in one
+    coordinate, so a grade with g >= budget is empty and returns at once;
+    every call that goes on yields at least that index.
+    """
+    if budget is not None and g >= budget:
+        return
+    if d == 1:
+        yield (g,)
+        return
+    for last in range(g + 1):
+        rest = None if budget is None else budget // (last + 1)
+        for head in _grade(d - 1, g - last, rest):
+            yield head + (last,)

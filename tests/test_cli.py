@@ -23,7 +23,7 @@ from cfpdesign import (
     total_degree,
 )
 from cfpdesign import basis as basis_module
-from cfpdesign import cli, design, studies
+from cfpdesign import cli, design, multiindex, studies
 from cfpdesign.cli import _build_parser, main
 
 
@@ -315,6 +315,21 @@ def test_too_few_candidates_fail_before_enrichment(monkeypatch, capsys, argv, me
     _fails_with(capsys, argv + ["--candidates", "100", "-o", "-"], message)
 
 
+def test_total_degree_design_with_too_few_candidates_fails_before_the_set(
+    monkeypatch, capsys
+):
+    """d = 200 degree 3 asks for comb(203, 3) = 1,373,701 indices and
+    M = 1,442,387 points. A total-degree set's size is known before it is
+    built, so M meets the candidates first; building the set took half a
+    minute and 2.3 GB."""
+    monkeypatch.setattr(multiindex, "total_degree", lambda *args: pytest.fail("built"))
+    _fails_with(
+        capsys,
+        ["design", "--dimension", "200", "--degree", "3", "-o", "-"],
+        "only 10000 candidates for 1442387 points",
+    )
+
+
 def _options(parser):
     return {s for a in parser._actions for s in a.option_strings if s.startswith("--")}
 
@@ -423,6 +438,26 @@ def test_candidate_draw_beyond_the_address_space_limit_exits_2(
         f"{where}the candidate draw needs 4.81 GB, more than the 1.50 GB left "
         "under the process's address-space limit; use fewer candidates "
         "(--candidates)",
+    )
+
+
+@pytest.mark.skipif(design.resource is None, reason="no address-space limit")
+def test_fit_beyond_the_address_space_limit_exits_2(monkeypatch, capsys):
+    """d = 40 degree 3: the rows of 12959 Monte Carlo points on N = 12341
+    take 1.28 GB and lstsq's copy as much again, so under a 1.5 GB limit the
+    fit is refused with one error line before a row is evaluated, where
+    numpy's xGELSD set-up printed a line of its own before the error."""
+    monkeypatch.setattr(design.resource, "getrlimit", lambda which: (1_500_000_000, -1))
+    monkeypatch.setattr(design, "open", lambda path: io.StringIO("0\n"), raising=False)
+    monkeypatch.setattr(
+        basis_module, "_rows", lambda *args: pytest.fail("rows evaluated")
+    )
+    argv = ["study", "approx", "--methods", "MC", "--dimension", "40"]
+    _fails_with(
+        capsys,
+        [*argv, "--degrees", "3", "--trials", "1", "-o", "-"],
+        "MC degree 3 trial 0: the fit needs 2.59 GB, more than the 1.50 GB left "
+        "under the process's address-space limit; use a lower degree or dimension",
     )
 
 

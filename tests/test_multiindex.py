@@ -3,6 +3,8 @@
 The constructors are checked against a brute-force oracle: filter the full
 integer box with the defining inequality and sort with an independently
 restated ordering rule. Enrichment is walked through by hand on small sets.
+The grevlex stream and all three builders are also checked, index for
+index, against the recursive grade enumerator they replaced.
 """
 
 import itertools
@@ -11,6 +13,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import _grade
 
 import cfpdesign.multiindex
 from cfpdesign import (
@@ -20,6 +23,7 @@ from cfpdesign import (
     is_downward_closed,
     total_degree,
 )
+from cfpdesign.multiindex import _grevlex
 
 
 def _box_filter_oracle(dimension, degree, keep):
@@ -60,6 +64,89 @@ def test_hyperbolic_cross_matches_enumeration(dimension, degree):
         lambda alpha: math.prod(a + 1 for a in alpha) <= degree + 1,
     )
     assert list(got) == expected
+
+
+ORACLE_BUDGETS = [None, 1, 2, 3, 4, 5, 8, 13, 30]
+
+
+def _oracle_grades(dimension, top, budget=None):
+    """Grades 0..top of the recursive enumerator, concatenated."""
+    return [a for g in range(top + 1) for a in _grade(dimension, g, budget)]
+
+
+def _oracle_enrich(index_set, extra):
+    """The first `extra` indices of the recursive grades not in the set."""
+    outside = (
+        a
+        for g in itertools.count()
+        for a in _grade(index_set.dimension, g)
+        if a not in index_set
+    )
+    return index_set.indices + tuple(itertools.islice(outside, extra))
+
+
+@pytest.mark.parametrize("budget", ORACLE_BUDGETS)
+@pytest.mark.parametrize("dimension", range(1, 8))
+def test_stream_matches_recursive_grades(dimension, budget):
+    """Grades 0..9 come in the recursive enumerator's order, and nothing of
+    those grades follows; a budgeted stream ends after grade budget - 1."""
+    expected = _oracle_grades(dimension, 9, budget)
+    stream = _grevlex(dimension, budget)
+    assert list(itertools.islice(stream, len(expected))) == expected
+    after = next(stream, None)
+    if budget is not None and budget <= 10:
+        assert after is None
+    else:
+        assert sum(after) == 10
+
+
+@pytest.mark.parametrize("dimension", range(1, 8))
+def test_builders_match_recursive_grades(dimension):
+    for degree in range(10):
+        lam = total_degree(dimension, degree)
+        assert lam.indices == tuple(_oracle_grades(dimension, degree))
+        for extra in (1, 2, 7):
+            assert enrich(lam, extra).indices == _oracle_enrich(lam, extra)
+    for budget in ORACLE_BUDGETS[1:]:
+        cross = hyperbolic_cross(dimension, budget - 1)
+        assert cross.indices == tuple(_oracle_grades(dimension, budget - 1, budget))
+        for extra in (1, 2, 7):
+            assert enrich(cross, extra).indices == _oracle_enrich(cross, extra)
+
+
+# d = 10 HC 12 is the widest study basis, enriched to W = 1199; d = 30 TD
+# stops at degree 4, since degree 6 there has 1,947,792 indices
+@pytest.mark.parametrize(
+    "rule, dimension, degree, extra",
+    [
+        (hyperbolic_cross, 10, 12, 58),
+        (total_degree, 20, 3, 89),
+        (total_degree, 30, 4, 5),
+        (hyperbolic_cross, 30, 6, 75),
+    ],
+)
+def test_wide_sets_match_recursive_grades(rule, dimension, degree, extra):
+    lam = rule(dimension, degree)
+    budget = degree + 1 if rule is hyperbolic_cross else None
+    assert lam.indices == tuple(_oracle_grades(dimension, degree, budget))
+    assert enrich(lam, extra).indices == _oracle_enrich(lam, extra)
+
+
+def test_sets_build_at_dimension_1000():
+    """The stream is as deep as an index has nonzero entries, not as d."""
+
+    def units(*coordinates):
+        alpha = [0] * 1000
+        for j in coordinates:
+            alpha[j] += 1
+        return tuple(alpha)
+
+    line = total_degree(1000, 1)
+    assert line.indices == (units(),) + tuple(units(j) for j in range(1000))
+    assert len(hyperbolic_cross(1000, 2)) == 2001
+    assert enrich(line, 5).indices[1001:] == (
+        units(0, 0), units(0, 1), units(1, 1), units(0, 2), units(1, 2),
+    )
 
 
 def test_total_degree_hand_examples():
