@@ -24,8 +24,8 @@ That system is solved in closed form, not by elimination:
 
       u(1/2, y) = h * sum_{m_i < 1/2} (1 - 2 m_i) / kappa(m_i, y).
 
-This is the exact solution of the discrete system, evaluated with one
-matrix-vector product per row block of parameter points and no pivoting.
+This is the exact solution of the discrete system, with no pivoting: per row
+block, one matrix product gives kappa and one matrix-vector product the sum.
 At y = 0 the continuous solution is x (1 - x) and the scheme reproduces
 u(1/2) = 1/4 to rounding.
 """
@@ -66,19 +66,19 @@ class EllipticConfig:
             )
 
 
-def _modes(config: EllipticConfig, x: np.ndarray) -> np.ndarray:
-    """cos(2 pi k x) / (k^2 pi^2) stacked over k, shape (d, len(x))."""
+def _grid(config: EllipticConfig, x: np.ndarray) -> np.ndarray:
+    """kappa's grid factor: rows 1 and sigma cos(2 pi k x) / (k^2 pi^2), k <= d."""
     k = np.arange(1, config.dimension + 1, dtype=float)[:, None]
-    return np.cos(2.0 * math.pi * k * x[None, :]) / (k * k * math.pi**2)
+    modes = np.cos(2.0 * math.pi * k * x) / (k * k * math.pi**2)
+    return np.vstack([np.ones(len(x)), config.sigma * modes])
 
 
-def _kappa(config: EllipticConfig, modes: np.ndarray, y2: np.ndarray, out=None):
-    """kappa for parameter rows y2 on the grid whose _modes are given,
-    written into out (shape (len(y2), len(x))) if given, with no temporary."""
-    kappa = np.dot(y2, modes, out=out)
-    kappa *= config.sigma
-    kappa += 1.0
-    return kappa
+def _kappa(grid: np.ndarray, y2: np.ndarray, out=None) -> np.ndarray:
+    """kappa = [1, y2] @ grid for parameter rows y2 and a _grid, one matrix
+    product written into out (shape (len(y2), len(x))) if given."""
+    left = np.ones((len(y2), len(grid)))
+    left[:, 1:] = y2
+    return np.matmul(left, grid, out=out)
 
 
 def diffusivity(config: EllipticConfig, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -88,7 +88,7 @@ def diffusivity(config: EllipticConfig, x: np.ndarray, y: np.ndarray) -> np.ndar
     dimension, all finite; anything else raises ValueError naming it."""
     x1 = _as_finite(x, "x", ("m",))
     y2 = _as_finite(np.atleast_2d(y), "y", ("n", config.dimension))
-    return _kappa(config, _modes(config, x1), y2)
+    return _kappa(_grid(config, x1), y2)
 
 
 def solve_bvp_batch(config: EllipticConfig, y: np.ndarray) -> np.ndarray:
@@ -103,14 +103,14 @@ def solve_bvp_batch(config: EllipticConfig, y: np.ndarray) -> np.ndarray:
     h = 1.0 / (gp - 1)
     # the (gp - 1) / 2 cell midpoints left of x = 1/2; the flux there is 1 - 2x
     x = (np.arange((gp - 1) // 2) + 0.5) * h
-    modes = _modes(config, x)
+    grid = _grid(config, x)
     flux = 1.0 - 2.0 * x
     u = np.empty(len(y2))
     blocks = list(_row_blocks(len(y2), len(x)))
     buf = np.empty((blocks[0].stop if blocks else 0, len(x)))
     # u's last bits follow ROW_BLOCK_VALUES, through each block's BLAS product shape
     for blk in blocks:
-        kappa = _kappa(config, modes, y2[blk], out=buf[: blk.stop - blk.start])
+        kappa = _kappa(grid, y2[blk], out=buf[: blk.stop - blk.start])
         if kappa.min() <= 0.0:
             raise ValueError("kappa is not positive for some parameter point")
         np.dot(np.reciprocal(kappa, out=kappa), flux, out=u[blk])

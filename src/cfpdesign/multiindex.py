@@ -32,6 +32,7 @@ class MultiIndexSet:
     dimension: int
     indices: tuple[tuple[int, ...], ...]
     _members: frozenset = field(init=False, repr=False, compare=False)
+    _degrees: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dimension < 1:
@@ -47,6 +48,7 @@ class MultiIndexSet:
             if any(a < 0 for a in alpha):
                 raise ValueError(f"negative entry in index {alpha}")
         object.__setattr__(self, "_members", members)
+        object.__setattr__(self, "_degrees", tuple(map(max, zip(*self.indices))))
 
     def __len__(self) -> int:
         return len(self.indices)
@@ -63,9 +65,7 @@ class MultiIndexSet:
 
     def degrees_by_coordinate(self) -> tuple[int, ...]:
         """Largest entry per coordinate; sizes the univariate tables."""
-        return tuple(
-            max(a[j] for a in self.indices) for j in range(self.dimension)
-        )
+        return self._degrees
 
     def to_json(self) -> dict:
         return {

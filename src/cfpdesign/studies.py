@@ -130,20 +130,22 @@ def _derive_seed(*parts: int) -> int:
 
 
 def _degree_setup(
-    config: StudyConfig, degree: int, m_points: int | None = None, selects=False
+    config: StudyConfig, degree: int, m_points: int | None = None, selects=False,
+    where: str = "",
 ):
     """(lam, M) for one degree; M defaults to ceil(oversampling * N), and
     _select checks it against the candidates. A design that selects has M
     checked here first where it is known before lam is built: given, or from
     a total-degree set's size comb(degree + d, d), which at d = 200 degree 3
-    spares a half-minute build of 1.4 million indices."""
+    spares a half-minute build of 1.4 million indices. where prefixes that
+    refusal's message, as a study names the cell and trial that would select."""
     d = config.dimension
     size = math.comb(degree + d, d) if config.rule == "TD" and degree >= 0 else None
     # a size past the guard is left to its builder's own check
     if m_points is None and size is not None and size <= MAX_SET_SIZE:
         m_points = _oversampled(config, size)
     if selects and m_points is not None:
-        _check_candidates(config, m_points)
+        _check_candidates(config, m_points, where)
     lam = getattr(multiindex, _INDEX_SETS[config.rule])(d, degree)
     if m_points is None:
         m_points = _oversampled(config, len(lam))
@@ -162,9 +164,11 @@ def _oversampled(config: StudyConfig, size: int) -> int:
     return math.ceil(wanted)
 
 
-def _check_candidates(config: StudyConfig, m_points: int) -> None:
+def _check_candidates(config: StudyConfig, m_points: int, where: str = "") -> None:
     if m_points > config.candidates:
-        raise ValueError(f"only {config.candidates} candidates for {m_points} points")
+        raise ValueError(
+            f"{where}only {config.candidates} candidates for {m_points} points"
+        )
 
 
 def _select(
@@ -226,6 +230,10 @@ def _quantiles_20_80(values: np.ndarray) -> tuple[float, float]:
     return out[0], out[1]
 
 
+def _trial_prefix(method: str, degree: int, trial: int) -> str:
+    return f"{method} degree {degree} trial {trial}: "
+
+
 def _sweep(config: StudyConfig, trial_value) -> list[dict]:
     """Mean and 20%/80% quantiles of trial_value over `trials` repetitions,
     one cell per (method, degree).
@@ -234,30 +242,35 @@ def _sweep(config: StudyConfig, trial_value) -> list[dict]:
     design; basis spans the unenriched index set. A ValueError from a trial
     is raised again as the same type, its message prefixed with the cell
     and trial, such as "AFP degree 30 trial 0: "; a MemoryError is raised
-    again as a plain MemoryError with the same prefix.
+    again as a plain MemoryError with the same prefix. Too few candidates for
+    a CFP or AFP cell are refused under trial 0's prefix before the cell's
+    index set is built, wherever M is known beforehand (see _degree_setup).
     """
     records = []
     for method in config.methods:
         for degree in config.degrees:
-            lam, m_points = _degree_setup(config, degree)
+            lam, m_points = _degree_setup(
+                config, degree, selects=method != "MC",
+                where=_trial_prefix(method, degree, 0),
+            )
             basis = ProductBasis.for_density(config.density, lam)
             values = np.empty(config.trials)
             for trial in range(config.trials):
-                where = f"{method} degree {degree} trial {trial}"
+                where = _trial_prefix(method, degree, trial)
                 try:
                     points = _design_points(
                         config, method, lam, m_points, degree, trial
                     )
                     values[trial] = trial_value(method, basis, points, degree, trial)
                 except ValueError as exc:
-                    raise type(exc)(f"{where}: {exc}") from exc
+                    raise type(exc)(f"{where}{exc}") from exc
                 except MemoryError as exc:  # numpy's subclass takes no message
                     cause = str(exc) or "out of memory"
-                    raise MemoryError(f"{where}: {cause}") from exc
+                    raise MemoryError(f"{where}{cause}") from exc
             q20, q80 = _quantiles_20_80(values)
-            cell = {"method": method, "degree": degree, "N": len(lam), "M": m_points}
+            record = {"method": method, "degree": degree, "N": len(lam), "M": m_points}
             for stat, value in (("mean", values.mean()), ("q20", q20), ("q80", q80)):
-                records.append({**cell, "stat": stat, "value": float(value)})
+                records.append({**record, "stat": stat, "value": float(value)})
     return records
 
 

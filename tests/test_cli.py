@@ -330,6 +330,19 @@ def test_total_degree_design_with_too_few_candidates_fails_before_the_set(
     )
 
 
+def test_study_cell_with_too_few_candidates_fails_before_the_set(monkeypatch, capsys):
+    """d = 100 degree 3 asks for comb(103, 3) = 176,851 indices and
+    M = 185,694 points; a CFP cell refuses them under its trial-0 prefix
+    before the set is built, as a design does."""
+    monkeypatch.setattr(multiindex, "total_degree", lambda *args: pytest.fail("built"))
+    _fails_with(
+        capsys,
+        ["study", "cond", "--dimension", "100", "--degrees", "3", "--methods", "CFP",
+         "--trials", "1", "-o", "-"],
+        "CFP degree 3 trial 0: only 10000 candidates for 185694 points",
+    )
+
+
 def _options(parser):
     return {s for a in parser._actions for s in a.option_strings if s.startswith("--")}
 

@@ -7,7 +7,9 @@ is the oracle; the frozen values below were produced by it and the in-test
 recomputation must agree before they are used.
 
 The discrete solution itself is checked against the full tridiagonal
-system of the conservative-flux scheme, solved by scipy's banded LU.
+system of the conservative-flux scheme, solved by scipy's banded LU. Both
+that oracle and the unblocked flux sum take kappa from its formula, written
+out here, not from the package's diffusivity, which shares the solve's code.
 """
 
 import math
@@ -97,11 +99,23 @@ def test_richardson_extrapolation():
     assert rich == pytest.approx(EXACT_MID[1.0], abs=1e-10)
 
 
+def _kappa_formula(
+    config: EllipticConfig, x: np.ndarray, ys: np.ndarray
+) -> np.ndarray:
+    """1 + sigma * sum_k y_k cos(2 pi k x) / (k^2 pi^2) for each row of ys,
+    one mode at a time, shape (len(ys), len(x))."""
+    total = np.zeros((len(ys), len(x)))
+    for k in range(1, config.dimension + 1):
+        mode = np.cos(2.0 * math.pi * k * x) / (k * k * math.pi**2)
+        total += np.outer(ys[:, k - 1], mode)
+    return 1.0 + config.sigma * total
+
+
 def _banded_midpoint(config: EllipticConfig, y: np.ndarray) -> float:
     """u(1/2) from the full (gp - 2)-unknown flux-form system."""
     gp = config.grid_points
     h = 1.0 / (gp - 1)
-    kappa = diffusivity(config, (np.arange(gp - 1) + 0.5) * h, y)[0]
+    kappa = _kappa_formula(config, (np.arange(gp - 1) + 0.5) * h, y[None, :])[0]
     bands = np.zeros((3, gp - 2))
     bands[0, 1:] = -kappa[1:-1]  # superdiagonal
     bands[1] = kappa[:-1] + kappa[1:]
@@ -110,16 +124,30 @@ def _banded_midpoint(config: EllipticConfig, y: np.ndarray) -> float:
     return float(u[(gp - 3) // 2])
 
 
-@pytest.mark.parametrize("dimension", [1, 2, 8])
-@pytest.mark.parametrize("grid_points", [3, 5, 101, 1001])
-def test_solver_matches_banded_system(dimension, grid_points):
-    cfg = EllipticConfig(dimension=dimension, grid_points=grid_points)
-    ys = np.random.default_rng(dimension * grid_points).uniform(
-        -1.0, 1.0, (4, dimension)
+def _assert_matches_banded_system(cfg: EllipticConfig) -> None:
+    ys = np.random.default_rng(cfg.dimension * cfg.grid_points).uniform(
+        -1.0, 1.0, (4, cfg.dimension)
     )
     ys[0] = 0.0
     oracle = [_banded_midpoint(cfg, y) for y in ys]
     np.testing.assert_allclose(solve_bvp_batch(cfg, ys), oracle, rtol=1e-10)
+
+
+@pytest.mark.parametrize("dimension", [1, 2, 8])
+@pytest.mark.parametrize("grid_points", [3, 5, 101, 1001])
+def test_solver_matches_banded_system(dimension, grid_points):
+    _assert_matches_banded_system(
+        EllipticConfig(dimension=dimension, grid_points=grid_points)
+    )
+
+
+@pytest.mark.parametrize("sigma", [0.37, -1.5])
+@pytest.mark.parametrize("dimension", [1, 2, 8])
+@pytest.mark.parametrize("grid_points", [3, 101, 1001])
+def test_solver_matches_banded_system_at_other_sigmas(dimension, grid_points, sigma):
+    _assert_matches_banded_system(
+        EllipticConfig(dimension=dimension, sigma=sigma, grid_points=grid_points)
+    )
 
 
 def test_solver_matches_banded_system_at_study_size():
@@ -150,7 +178,7 @@ def _unblocked_flux_sum(config: EllipticConfig, ys: np.ndarray) -> np.ndarray:
     gp = config.grid_points
     h = 1.0 / (gp - 1)
     x = (np.arange((gp - 1) // 2) + 0.5) * h
-    return h * ((1.0 / diffusivity(config, x, ys)) @ (1.0 - 2.0 * x))
+    return h * ((1.0 / _kappa_formula(config, x, ys)) @ (1.0 - 2.0 * x))
 
 
 @pytest.mark.parametrize(
@@ -170,7 +198,7 @@ def test_solve_depends_on_the_row_block_size_only_in_rounding(
 ):
     """The one output whose bits follow ROW_BLOCK_VALUES: each block's
     product sums its rows in an order the BLAS picks for that shape. At 2^10
-    most of the 5000 values move, by at most 1.5e-15 relative."""
+    4088 of the 5000 values move, by at most 1.5e-15 relative."""
     ys = np.random.default_rng(0).uniform(-1.0, 1.0, (5000, 2))
     default = solve_bvp_batch(STUDY_BVP, ys)
     monkeypatch.setattr(basis_module, "ROW_BLOCK_VALUES", block_values)
@@ -264,6 +292,18 @@ def test_parameter_dimension_mismatch():
     cfg = EllipticConfig(dimension=2, grid_points=101)
     with pytest.raises(ValueError, match=r"^y has shape \(4, 3\), need \(n, 2\)$"):
         solve_bvp_batch(cfg, np.zeros((4, 3)))
+
+
+@pytest.mark.parametrize("sigma", [1.0, 0.37, -1.5])
+@pytest.mark.parametrize("dimension", [1, 2, 8])
+def test_diffusivity_matches_its_formula(dimension, sigma):
+    cfg = EllipticConfig(dimension=dimension, sigma=sigma)
+    rng = np.random.default_rng(dimension)
+    x = rng.random(40)
+    ys = rng.uniform(-1.0, 1.0, (7, dimension))
+    np.testing.assert_allclose(
+        diffusivity(cfg, x, ys), _kappa_formula(cfg, x, ys), rtol=1e-14, atol=0.0
+    )
 
 
 def test_diffusivity_values_and_symmetry():

@@ -222,6 +222,33 @@ def test_membership_and_degrees():
     assert hyperbolic_cross(3, 3).degrees_by_coordinate() == (3, 3, 3)
 
 
+def _coordinate_max(lam):
+    """Largest entry of each coordinate, from the indices laid out as an
+    (N, d) integer array."""
+    flat = np.fromiter(
+        itertools.chain.from_iterable(lam.indices), dtype=np.int64,
+        count=len(lam) * lam.dimension,
+    )
+    return tuple(int(v) for v in flat.reshape(len(lam), lam.dimension).max(axis=0))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: total_degree(3, 4),
+        lambda: hyperbolic_cross(4, 8),
+        lambda: enrich(hyperbolic_cross(2, 5), 7),
+        lambda: MultiIndexSet(3, ((0, 0, 0), (2, 0, 0), (0, 0, 5))),
+        lambda: total_degree(100, 3),
+    ],
+    ids=["TD", "HC", "enriched", "uneven", "d100-TD3"],
+)
+def test_degrees_by_coordinate_are_stored_once(build):
+    lam = build()
+    assert lam._degrees == _coordinate_max(lam)
+    assert lam.degrees_by_coordinate() is lam._degrees
+
+
 def test_downward_closed():
     assert is_downward_closed(total_degree(3, 4))
     assert is_downward_closed(hyperbolic_cross(2, 5))
