@@ -124,7 +124,7 @@ def _rows(basis: ProductBasis, pts: np.ndarray) -> np.ndarray:
     sets bits.
     """
     idx = np.asarray(basis.index_set.indices, dtype=int)
-    degrees = idx.max(axis=0).tolist()
+    degrees = basis.index_set.degrees_by_coordinate()
     m, n = len(pts), len(idx)
     rows = np.empty((m, n))
     for start in range(0, m, RECURRENCE_CHUNK_POINTS):

@@ -357,8 +357,7 @@ def _selection_basis(
         raise ValueError(
             f"cannot select {m_points} points in a basis of size {len(index_set)}"
         )
-    if m_points > len(candidates):
-        raise ValueError(f"only {len(candidates)} candidates for {m_points} points")
+    _check_candidates(len(candidates), m_points)
     # the pivot loop's rows, directions and shortlist, and one chunk of the
     # rows' recurrence sequences, in float64; the diagnostics' rows and SVD
     # copy, 2 M W, fit in the space of the first two
@@ -369,6 +368,13 @@ def _selection_basis(
     )
     _check_memory(8 * (len(index_set) * rows + seqs) + SELECTION_SLACK_BYTES)
     return ProductBasis.for_density(candidates.densities, index_set)
+
+
+def _check_candidates(available: int, m_points: int, where: str = "") -> None:
+    """Refuse a selection of m_points among fewer candidates; where prefixes
+    the message."""
+    if m_points > available:
+        raise ValueError(f"{where}only {available} candidates for {m_points} points")
 
 
 def _check_memory(

@@ -33,6 +33,7 @@ class MultiIndexSet:
     indices: tuple[tuple[int, ...], ...]
     _members: frozenset = field(init=False, repr=False, compare=False)
     _degrees: tuple = field(init=False, repr=False, compare=False)
+    max_degree: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dimension < 1:
@@ -49,6 +50,7 @@ class MultiIndexSet:
                 raise ValueError(f"negative entry in index {alpha}")
         object.__setattr__(self, "_members", members)
         object.__setattr__(self, "_degrees", tuple(map(max, zip(*self.indices))))
+        object.__setattr__(self, "max_degree", max(map(sum, self.indices)))
 
     def __len__(self) -> int:
         return len(self.indices)
@@ -58,10 +60,6 @@ class MultiIndexSet:
 
     def __contains__(self, alpha) -> bool:
         return tuple(alpha) in self._members
-
-    @property
-    def max_degree(self) -> int:
-        return max(sum(a) for a in self.indices)
 
     def degrees_by_coordinate(self) -> tuple[int, ...]:
         """Largest entry per coordinate; sizes the univariate tables."""

@@ -77,14 +77,6 @@ class DensitySpec:
         if self.kind not in FAMILIES:
             raise ValueError(f"family must be one of {FAMILIES}, got {self.kind!r}")
 
-    @classmethod
-    def uniform(cls) -> "DensitySpec":
-        return cls(UNIFORM)
-
-    @classmethod
-    def gaussian(cls) -> "DensitySpec":
-        return cls(GAUSSIAN)
-
 
 def _per_coordinate(density, d: int) -> tuple[DensitySpec, ...]:
     """One density per coordinate: a single density repeated d times, or a

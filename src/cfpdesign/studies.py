@@ -26,6 +26,7 @@ from .basis import (
 from .design import (
     CandidateSet,
     DesignResult,
+    _check_candidates,
     afp_select,
     candidate_set,
     cfp_select,
@@ -145,7 +146,7 @@ def _degree_setup(
     if m_points is None and size is not None and size <= MAX_SET_SIZE:
         m_points = _oversampled(config, size)
     if selects and m_points is not None:
-        _check_candidates(config, m_points, where)
+        _check_candidates(config.candidates, m_points, where)
     lam = getattr(multiindex, _INDEX_SETS[config.rule])(d, degree)
     if m_points is None:
         m_points = _oversampled(config, len(lam))
@@ -164,20 +165,13 @@ def _oversampled(config: StudyConfig, size: int) -> int:
     return math.ceil(wanted)
 
 
-def _check_candidates(config: StudyConfig, m_points: int, where: str = "") -> None:
-    if m_points > config.candidates:
-        raise ValueError(
-            f"{where}only {config.candidates} candidates for {m_points} points"
-        )
-
-
 def _select(
     config: StudyConfig, method: str, lam: MultiIndexSet, m_points: int, seed: int
 ) -> DesignResult:
     """Greedy CFP or AFP pivots among config.candidates draws seeded by seed,
     in lam enriched to m_points indices when M > N."""
     # the selection's own check, made before enrich enumerates up to M indices
-    _check_candidates(config, m_points)
+    _check_candidates(config.candidates, m_points)
     lam_tilde = enrich(lam, m_points - len(lam)) if m_points > len(lam) else lam
     cands = candidate_set(
         config.density, config.dimension, config.candidates, lam_tilde.max_degree, seed

@@ -44,8 +44,8 @@ from cfpdesign import (
 from cfpdesign.cli import main as cli_main
 from cfpdesign.design import greedy_select_reference
 
-UNIFORM = DensitySpec.uniform()
-GAUSSIAN = DensitySpec.gaussian()
+UNIFORM = DensitySpec("uniform")
+GAUSSIAN = DensitySpec("gaussian")
 
 
 def _report(num: int, label: str, ok: bool, detail: str = "") -> None:

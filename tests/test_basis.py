@@ -34,8 +34,8 @@ from cfpdesign import (
 from cfpdesign.basis import RECURRENCE_CHUNK_POINTS, ROW_BLOCK_VALUES, vandermonde
 from oracles import christoffel_exact
 
-UNIFORM = DensitySpec.uniform()
-GAUSSIAN = DensitySpec.gaussian()
+UNIFORM = DensitySpec("uniform")
+GAUSSIAN = DensitySpec("gaussian")
 
 LAM_01 = MultiIndexSet(1, ((0,), (1,)))
 LEVEL_SET_2 = np.array([[-1.0 / 3.0], [1.0]])

@@ -77,8 +77,8 @@ from cfpdesign.studies import (
 )
 from oracles import abs_det
 
-UNIFORM = DensitySpec.uniform()
-GAUSSIAN = DensitySpec.gaussian()
+UNIFORM = DensitySpec("uniform")
+GAUSSIAN = DensitySpec("gaussian")
 LAM_01 = MultiIndexSet(1, ((0,), (1,)))
 
 

@@ -54,7 +54,7 @@ from cfpdesign import (
     validation_error,
 )
 
-UNIFORM = DensitySpec.uniform()
+UNIFORM = DensitySpec("uniform")
 BASIS = ProductBasis.for_density(UNIFORM, total_degree(2, 2))
 POINTS = np.stack(np.meshgrid(np.linspace(-0.9, 0.9, 5), [-0.5, 0.5, 0.1, 0.8]), -1)
 POINTS = POINTS.reshape(-1, 2)

@@ -27,8 +27,8 @@ from cfpdesign import (
     validation_error,
 )
 
-UNIFORM = DensitySpec.uniform()
-GAUSSIAN = DensitySpec.gaussian()
+UNIFORM = DensitySpec("uniform")
+GAUSSIAN = DensitySpec("gaussian")
 
 
 def _design_points(density, lam, m_points, seed):

@@ -232,9 +232,11 @@ def _coordinate_max(lam):
     return tuple(int(v) for v in flat.reshape(len(lam), lam.dimension).max(axis=0))
 
 
-@pytest.mark.parametrize(
-    "build",
-    [
+# module scope: the d = 100 set takes seconds to build, so both tests below
+# share one build of each set
+@pytest.fixture(
+    scope="module",
+    params=[
         lambda: total_degree(3, 4),
         lambda: hyperbolic_cross(4, 8),
         lambda: enrich(hyperbolic_cross(2, 5), 7),
@@ -243,10 +245,19 @@ def _coordinate_max(lam):
     ],
     ids=["TD", "HC", "enriched", "uneven", "d100-TD3"],
 )
-def test_degrees_by_coordinate_are_stored_once(build):
-    lam = build()
-    assert lam._degrees == _coordinate_max(lam)
-    assert lam.degrees_by_coordinate() is lam._degrees
+def built(request):
+    return request.param()
+
+
+def test_degrees_by_coordinate_are_stored_once(built):
+    assert built._degrees == _coordinate_max(built)
+    assert built.degrees_by_coordinate() is built._degrees
+
+
+def test_max_degree_is_stored_once(built):
+    # an instance attribute set at construction, not a property that walks
+    # every index on each read
+    assert vars(built)["max_degree"] == max(map(sum, built.indices))
 
 
 def test_downward_closed():

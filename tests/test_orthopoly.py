@@ -32,8 +32,8 @@ from cfpdesign import (
 )
 from cfpdesign.orthopoly import level_set_bisection
 
-UNIFORM = DensitySpec.uniform()
-GAUSSIAN = DensitySpec.gaussian()
+UNIFORM = DensitySpec("uniform")
+GAUSSIAN = DensitySpec("gaussian")
 FAMILIES = (UNIFORM, GAUSSIAN)
 
 ORACLE_N_MAX = 8
