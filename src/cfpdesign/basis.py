@@ -40,8 +40,10 @@ SPACES = ("P", "Q")
 # singular values below this count as numerically zero
 SINGULAR_FLOOR = 1e-300
 # float64 values per row block of the batch kernels (basis rows here, the
-# elliptic solve): 256 KB, so a block's temporaries stay in the L2 cache and
-# no temporary the size of the whole batch is allocated
+# elliptic solve, and the pivot loop: its block-end products, b directions
+# by the block's rows, and its recomputes): 256 KB, so a block's
+# temporaries stay in the L2 cache and no temporary the size of the whole
+# batch is allocated
 ROW_BLOCK_VALUES = 2**15
 # points per chunk of _rows's recurrence sequences, which are all that sits
 # beside the rows. At 10k points (2-core Xeon, best median of four rounds)

@@ -127,17 +127,26 @@ def test_outputs_do_not_depend_on_the_blas_thread_count():
     assert _fresh_python(code, OPENBLAS_NUM_THREADS="2") == one
 
 
+# uniform TD 15 (W = 143), and the design_latency request: Gaussian d=4 HC 8
+# (W = 77 Hermite rows, block ends of 1-39 directions at seed 3)
 PIVOTS = """
-    import contextlib, io, json
+    import contextlib, io, json, os
 
     import cfpdesign.cli as cli
 
+    requests = {
+        "td15": ["--degree", "15"],
+        "hc8": ["--family", "gaussian", "--dimension", "4", "--rule", "HC",
+                "--degree", "8", "--fit", "exp_negsumsq", "--seed", "3",
+                "--surrogate-output", os.devnull],
+    }
     pivots = {}
-    for method in ("cfp", "afp"):
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            cli.main(["design", "--degree", "15", "--method", method, "-o", "-"])
-        pivots[method] = json.loads(out.getvalue())["pivot_order"]
+    for name, request in requests.items():
+        for method in ("cfp", "afp"):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                cli.main(["design", *request, "--method", method, "-o", "-"])
+            pivots[f"{name} {method}"] = json.loads(out.getvalue())["pivot_order"]
     print(json.dumps(pivots))
     """
 
@@ -154,4 +163,6 @@ def test_pivots_do_not_depend_on_the_blas_kernel(coretype, default_kernel_pivots
         pytest.skip("the Haswell kernel needs AVX2")
     pivots = json.loads(_fresh_python(PIVOTS, OPENBLAS_CORETYPE=coretype))
     assert pivots == default_kernel_pivots
-    assert len(pivots["cfp"]) == len(pivots["afp"]) == 143
+    assert {name: len(p) for name, p in pivots.items()} == {
+        "td15 cfp": 143, "td15 afp": 143, "hc8 cfp": 77, "hc8 afp": 77
+    }
