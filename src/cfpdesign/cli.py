@@ -179,7 +179,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _run_design(args: argparse.Namespace) -> int:
     config = _study_config(args)
     method = args.method.upper()
-    lam, m_points = _degree_setup(config, args.degree, args.samples, selects=True)
+    lam, m_points = _degree_setup(config, args.degree, args.samples, where="")
     # a target the family cannot take fails before the selection, and a fit
     # that cannot run fails before anything is written
     target = None if args.fit is None else resolve_target(config, args.fit)

@@ -58,7 +58,9 @@ from .basis import (
     eval_rows,
 )
 from .multiindex import MultiIndexSet
-from .orthopoly import UNIFORM, DensitySpec, _as_finite, _per_coordinate, _sample_points
+from .orthopoly import (
+    UNIFORM, DensitySpec, _as_finite, _per_coordinate, _sample_points, _set_read_only,
+)
 
 __all__ = [
     "CandidateSet",
@@ -112,8 +114,7 @@ class CandidateSet:
 
     def __post_init__(self):
         points = _as_finite(self.points, "points", ("m_total", len(self.densities)))
-        object.__setattr__(self, "points", np.array(points))
-        self.points.setflags(write=False)
+        _set_read_only(self, points=points)
 
     def __len__(self) -> int:
         return self.points.shape[0]
@@ -150,10 +151,7 @@ class DesignResult:
     config: Mapping
 
     def __post_init__(self):
-        for name in ("points", "objective_trace"):
-            copy = np.array(getattr(self, name), dtype=float)
-            copy.setflags(write=False)
-            object.__setattr__(self, name, copy)
+        _set_read_only(self, points=self.points, objective_trace=self.objective_trace)
         frozen = {
             k: tuple(v) if isinstance(v, list) else v for k, v in self.config.items()
         }

@@ -16,7 +16,7 @@ import numpy as np
 from .basis import ProductBasis, RankDeficientError, _unit_rows, eval_rows
 from .design import _check_memory
 from .multiindex import MultiIndexSet
-from .orthopoly import DensitySpec, _as_finite, _sample_points
+from .orthopoly import DensitySpec, _as_finite, _sample_points, _set_read_only
 
 __all__ = [
     "Surrogate",
@@ -38,9 +38,8 @@ class Surrogate:
 
     def __post_init__(self):
         shape = (len(self.basis.index_set),)
-        coeffs = np.array(_as_finite(self.coefficients, "coefficients", shape))
-        object.__setattr__(self, "coefficients", coeffs)
-        self.coefficients.setflags(write=False)
+        coeffs = _as_finite(self.coefficients, "coefficients", shape)
+        _set_read_only(self, coefficients=coeffs)
 
     def to_json(self) -> dict:
         return {

@@ -67,6 +67,13 @@ def _as_finite(array, name: str, shape=None) -> np.ndarray:
     return arr
 
 
+def _set_read_only(frozen, **arrays) -> None:
+    """Set each named field of a frozen dataclass to a read-only float copy."""
+    for name, array in arrays.items():
+        object.__setattr__(frozen, name, np.array(array, dtype=float))
+        getattr(frozen, name).setflags(write=False)
+
+
 @dataclass(frozen=True)
 class DensitySpec:
     """One coordinate's marginal probability density."""
@@ -99,13 +106,11 @@ class RecurrenceTable:
     beta: np.ndarray
 
     def __post_init__(self):
-        beta = np.array(_as_finite(self.beta, "beta", ("n_max",)))
-        object.__setattr__(self, "beta", beta)
+        _set_read_only(self, beta=_as_finite(self.beta, "beta", ("n_max",)))
         if len(self.beta) < 1:
             raise ValueError("table must cover degree at least 1")
         if not np.all(self.beta > 0.0):
             raise ValueError("all recurrence weights b_n must be positive")
-        self.beta.setflags(write=False)
 
     @property
     def n_max(self) -> int:

@@ -131,26 +131,28 @@ def _derive_seed(*parts: int) -> int:
 
 
 def _degree_setup(
-    config: StudyConfig, degree: int, m_points: int | None = None, selects=False,
-    where: str = "",
+    config: StudyConfig, degree: int, m_points: int | None = None,
+    where: str | None = None,
 ):
-    """(lam, M) for one degree; M defaults to ceil(oversampling * N), and
-    _select checks it against the candidates. A design that selects has M
-    checked here first where it is known before lam is built: given, or from
-    a total-degree set's size comb(degree + d, d), which at d = 200 degree 3
-    spares a half-minute build of 1.4 million indices. where prefixes that
-    refusal's message, as a study names the cell and trial that would select."""
+    """(lam, M) for one degree; M defaults to ceil(oversampling * N). A caller
+    that selects passes where, the prefix of the too-few-candidates refusal,
+    and M meets the candidates as soon as it is known: given, or from a
+    total-degree set's size comb(degree + d, d) before the set is built (at
+    d = 200 degree 3 that spares a half-minute build of 1.4 million indices),
+    else before _select enriches the set. where None checks nothing."""
     d = config.dimension
+    build = getattr(multiindex, _INDEX_SETS[config.rule])
     size = math.comb(degree + d, d) if config.rule == "TD" and degree >= 0 else None
     # a size past the guard is left to its builder's own check
     if m_points is None and size is not None and size <= MAX_SET_SIZE:
         m_points = _oversampled(config, size)
-    if selects and m_points is not None:
-        _check_candidates(config.candidates, m_points, where)
-    lam = getattr(multiindex, _INDEX_SETS[config.rule])(d, degree)
+    lam = None
     if m_points is None:
+        lam = build(d, degree)
         m_points = _oversampled(config, len(lam))
-    return lam, m_points
+    if where is not None:
+        _check_candidates(config.candidates, m_points, where)
+    return (build(d, degree) if lam is None else lam), m_points
 
 
 def _oversampled(config: StudyConfig, size: int) -> int:
@@ -169,9 +171,7 @@ def _select(
     config: StudyConfig, method: str, lam: MultiIndexSet, m_points: int, seed: int
 ) -> DesignResult:
     """Greedy CFP or AFP pivots among config.candidates draws seeded by seed,
-    in lam enriched to m_points indices when M > N."""
-    # the selection's own check, made before enrich enumerates up to M indices
-    _check_candidates(config.candidates, m_points)
+    in lam enriched to m_points indices when M > N (M checked by _degree_setup)."""
     lam_tilde = enrich(lam, m_points - len(lam)) if m_points > len(lam) else lam
     cands = candidate_set(
         config.density, config.dimension, config.candidates, lam_tilde.max_degree, seed
@@ -237,16 +237,13 @@ def _sweep(config: StudyConfig, trial_value) -> list[dict]:
     is raised again as the same type, its message prefixed with the cell
     and trial, such as "AFP degree 30 trial 0: "; a MemoryError is raised
     again as a plain MemoryError with the same prefix. Too few candidates for
-    a CFP or AFP cell are refused under trial 0's prefix before the cell's
-    index set is built, wherever M is known beforehand (see _degree_setup).
+    a CFP or AFP cell are refused under trial 0's prefix (see _degree_setup).
     """
     records = []
     for method in config.methods:
         for degree in config.degrees:
-            lam, m_points = _degree_setup(
-                config, degree, selects=method != "MC",
-                where=_trial_prefix(method, degree, 0),
-            )
+            where = None if method == "MC" else _trial_prefix(method, degree, 0)
+            lam, m_points = _degree_setup(config, degree, where=where)
             basis = ProductBasis.for_density(config.density, lam)
             values = np.empty(config.trials)
             for trial in range(config.trials):

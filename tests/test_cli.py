@@ -306,6 +306,10 @@ def test_design_with_too_few_candidates(capsys):
          "only 100 candidates for 9000000 points"),
         (["study", "cond", "--oversampling", "100000"],
          "CFP degree 2 trial 0: only 100 candidates for 600000 points"),
+        # a hyperbolic cross's M is known once the set is built (N = 1141)
+        (["study", "cond", "--rule", "HC", "--dimension", "10", "--degrees", "12",
+          "--methods", "CFP"],
+         "CFP degree 12 trial 0: only 100 candidates for 1199 points"),
     ],
 )
 def test_too_few_candidates_fail_before_enrichment(monkeypatch, capsys, argv, message):

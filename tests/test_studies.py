@@ -179,7 +179,7 @@ def test_index_set_builds_reach_wrappers_bound_in_their_modules(monkeypatch, rul
 
 
 def test_candidate_budget_guard():
-    """_select checks M against the candidates; the sweep names the cell."""
+    """_degree_setup checks M against the candidates; the sweep names the cell."""
     cfg = StudyConfig(degrees=(5,), trials=1, candidates=10)
     message = "^CFP degree 5 trial 0: only 10 candidates for 23 points$"
     with pytest.raises(ValueError, match=message):
