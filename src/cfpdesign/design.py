@@ -416,14 +416,13 @@ def _check_memory(
 
 def _design_result(
     candidates: CandidateSet,
-    basis: ProductBasis,
     space: str,
     pivots: np.ndarray,
     trace: np.ndarray,
     rows: np.ndarray,
 ) -> DesignResult:
     """DesignResult for pivots into the candidate list, whose rows in space
-    are rows; m_points <= N, so both diagnostics come from one SVD."""
+    are rows, N columns wide; m_points <= N, so one SVD gives both diagnostics."""
     points = candidates.points[pivots]
     det, cond = _det_and_cond(rows)
     return DesignResult(
@@ -435,7 +434,7 @@ def _design_result(
         space=space,
         seed=candidates.seed,
         config={
-            "basis_size": len(basis.index_set),
+            "basis_size": rows.shape[1],
             "m_points": len(pivots),
             "m_candidates": len(candidates),
             "degree_hint": candidates.degree_hint,
@@ -462,7 +461,7 @@ def _qr_select(
     del v  # the diagnostics' arrays take its place (see _selection_basis)
     if space == "Q":
         rows /= np.sqrt(k[pivots])[:, None]  # as _unit_rows divides
-    return _design_result(candidates, basis, space, pivots, trace, rows)
+    return _design_result(candidates, space, pivots, trace, rows)
 
 
 def cfp_select(
@@ -530,7 +529,7 @@ def greedy_select_reference(
         chosen.append(remaining.pop(int(tied[0])))
         trace[k] = det_modulus(v[chosen])
 
-    return _design_result(candidates, basis, space, chosen, trace, v[chosen])
+    return _design_result(candidates, space, chosen, trace, v[chosen])
 
 
 def global_select_oracle(
@@ -563,4 +562,4 @@ def global_select_oracle(
 
     chosen = list(best_combo)
     trace = np.array([det_modulus(v[chosen[: k + 1]]) for k in range(m_points)])
-    return _design_result(candidates, basis, space, chosen, trace, v[chosen])
+    return _design_result(candidates, space, chosen, trace, v[chosen])

@@ -33,7 +33,7 @@ from .design import (
 )
 from .elliptic import EllipticConfig, solve_bvp_batch
 from .lsq import solve_unweighted, solve_weighted, validation_error
-from .multiindex import MAX_SET_SIZE, MultiIndexSet, enrich, total_degree
+from .multiindex import MultiIndexSet, enrich, total_degree
 from .orthopoly import (
     DensitySpec,
     _sample_points,
@@ -54,12 +54,12 @@ __all__ = [
     "resolve_target",
 ]
 
-# builder names, looked up in multiindex at each call so a wrapper bound there sees it
+# builder names, looked up in multiindex at each call, as MAX_SET_SIZE is, so a
+# wrapper or a guard bound there is seen
 _INDEX_SETS = {"TD": "total_degree", "HC": "hyperbolic_cross"}
 RULES = tuple(_INDEX_SETS)
-METHODS = ("CFP", "AFP", "MC")
-
 _METHOD_ID = {"CFP": 0, "AFP": 1, "MC": 2}
+METHODS = tuple(_METHOD_ID)
 _STREAM_CANDIDATES = 10
 _STREAM_MC = 11
 _STREAM_VALIDATION = 12
@@ -144,7 +144,7 @@ def _degree_setup(
     build = getattr(multiindex, _INDEX_SETS[config.rule])
     size = math.comb(degree + d, d) if config.rule == "TD" and degree >= 0 else None
     # a size past the guard is left to its builder's own check
-    if m_points is None and size is not None and size <= MAX_SET_SIZE:
+    if m_points is None and size is not None and size <= multiindex.MAX_SET_SIZE:
         m_points = _oversampled(config, size)
     lam = None
     if m_points is None:
@@ -159,10 +159,10 @@ def _oversampled(config: StudyConfig, size: int) -> int:
     """ceil(oversampling * size), after enrich's size guard, which is checked
     before math.ceil can meet inf."""
     wanted = config.oversampling * size
-    if wanted > MAX_SET_SIZE:
+    if wanted > multiindex.MAX_SET_SIZE:
         raise ValueError(
             f"oversampling {config.oversampling} asks for {wanted:.4g} points, "
-            f"more than the size guard of {MAX_SET_SIZE}"
+            f"more than the size guard of {multiindex.MAX_SET_SIZE}"
         )
     return math.ceil(wanted)
 

@@ -84,7 +84,7 @@ def test_design_json_to_stdout(capsys):
     assert cfg["rule"] == "TD"
     assert cfg["degree"] == 2
     assert cfg["method"] == "cfp"
-    assert cfg["basis_size"] > n  # enriched selection space
+    assert cfg["basis_size"] == len(enrich(total_degree(2, 2), 7 - n))  # enriched to M
     assert payload["det_modulus"] <= 1.0 + 1e-12
 
 
@@ -633,6 +633,18 @@ def test_overflowing_oversampling_is_a_usage_error(capsys, command):
     _fails_with(
         capsys, argv,
         "oversampling 1e+308 asks for inf points, more than the size guard of 10000000",
+    )
+
+
+def test_oversampling_meets_the_size_guard_read_in_multiindex(monkeypatch, capsys):
+    """The study reads the set-size guard in multiindex at each call, so a
+    guard patched there refuses M = ceil(30 * 6) before the set is enriched."""
+    monkeypatch.setattr(multiindex, "MAX_SET_SIZE", 100)
+    _fails_with(
+        capsys,
+        ["study", "cond", "--degrees", "2", "--oversampling", "30", "--methods", "CFP",
+         "--trials", "1", "-o", "-"],
+        "oversampling 30.0 asks for 180 points, more than the size guard of 100",
     )
 
 

@@ -1028,6 +1028,23 @@ def test_design_result_to_json():
     assert json.dumps(blob_wide) == json.dumps(blob)
 
 
+def test_basis_size_is_the_width_of_the_selection_basis():
+    """config["basis_size"] is the size of the index set the selection ran
+    in: the enriched set when M > N, the set itself when M < N."""
+    lam = total_degree(2, 2)
+    cands = candidate_set(UNIFORM, 2, 12, 3, 5)
+    for index_set, m_points in ((enrich(lam, 8 - len(lam)), 8), (lam, 4)):
+        results = [
+            cfp_select(cands, index_set, m_points),
+            afp_select(cands, index_set, m_points),
+            greedy_select_reference(cands, index_set, m_points, "Q"),
+            global_select_oracle(cands, index_set, m_points, "P"),
+        ]
+        for result in results:
+            assert result.config["basis_size"] == len(index_set)
+            assert result.config["m_points"] == m_points
+
+
 def test_result_arrays_read_only():
     cands = candidate_set(UNIFORM, 1, 20, 2, 0)
     result = cfp_select(cands, total_degree(1, 2), 3)
