@@ -31,6 +31,7 @@ from dataclasses import fields
 
 from . import __version__
 from .basis import ProductBasis
+from .lsq import _check_samples
 from .orthopoly import FAMILIES
 from .studies import (
     _ANALYTIC_TARGETS,
@@ -179,11 +180,15 @@ def _build_parser() -> argparse.ArgumentParser:
 def _run_design(args: argparse.Namespace) -> int:
     config = _study_config(args)
     method = args.method.upper()
-    lam, m_points = _degree_setup(config, args.degree, args.samples, where="")
-    # a target the family cannot take fails before the selection, and a fit
-    # that cannot run fails before anything is written
+    lam, lam_tilde, m_points = _degree_setup(
+        config, args.degree, args.samples, where=""
+    )
+    # a fit the family cannot take or with too few samples fails before a
+    # candidate is drawn, and a fit that cannot run before anything is written
     target = None if args.fit is None else resolve_target(config, args.fit)
-    result = _select(config, method, lam, m_points, config.seed)
+    if target is not None:
+        _check_samples(m_points, len(lam))
+    result = _select(config, method, lam_tilde, m_points, config.seed)
     if target is not None:
         basis = ProductBasis.for_density(config.density, lam)
         surrogate = _solver(method)(basis, result.points, target(result.points))

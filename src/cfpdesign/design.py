@@ -12,14 +12,12 @@ The loop runs in blocks. Squared residuals never increase, so the rows with
 the largest ones form a shortlist that no other row can overtake while the
 next pick stays clear of the largest square left out; the steps of a block
 read only the shortlist, and one matrix product per row block then
-downdates every row by all of the block's directions. The block's
-directions are that product's left operand, because OpenBLAS's SkylakeX
-(AVX-512) dgemm kernel runs it 20-36% faster in this order at 10k rows of
-77-143 values. The order sets only the last bits of the downdated squares
-of rows outside the shortlist; the trace, the rank test and the
-diagnostics read only the picked rows, so wherever the pivots agree, so do
-they. A row set no longer than a shortlist is one block. In exact
-arithmetic every pick is the one a step-by-step loop over all rows makes.
+downdates every row by all of the block's directions. That product's
+operand order sets only the last bits of the downdated squares of rows
+outside the shortlist; the trace, the rank test and the diagnostics read
+only the picked rows, so wherever the pivots agree, so do they. A row set
+no longer than a shortlist is one block. In exact arithmetic every pick is
+the one a step-by-step loop over all rows makes.
 Ties within a relative window of 1e-12 go to the lowest candidate index.
 CFP's weighted squares all start at exactly 1, so its first pick is
 candidate 0. Equal candidates (-0.0 equal to 0.0) tie, so the first
@@ -283,15 +281,13 @@ def _greedy_pivot_qr(
     each step runs on the shortlist alone. When the bound is reached, one
     product per row block, the block's b directions times the transposed
     rows (b, W) @ (W, rows), gives every row's components along the
-    directions (this order, not the rows on the left, is the faster one
-    under OpenBLAS's SkylakeX kernel; see the block-end comment), and one
-    subtraction per row downdates its square by w_i times their sum of
-    squares, before the cancellation test runs on all rows. A row set no
-    longer than a shortlist is one block. The picks follow the downdated
-    squares; the rank test and the trace read w_j |g|^2 of the picked
-    row's Gram-Schmidt residual g, which keeps its digits where a
-    downdated square has lost them to cancellation. v is not written;
-    weights of 1 change no bit.
+    directions, and one subtraction per row downdates its square by w_i
+    times their sum of squares, before the cancellation test runs on all
+    rows. A row set no longer than a shortlist is one block. The picks
+    follow the downdated squares; the rank test and the trace read
+    w_j |g|^2 of the picked row's Gram-Schmidt residual g, which keeps its
+    digits where a downdated square has lost them to cancellation. v is
+    not written; weights of 1 change no bit.
     """
     floor = RECOMPUTE_RATIO * sq
     rank_floor = (RANK_RTOL * math.sqrt(float(np.max(sq)))) ** 2
@@ -361,8 +357,6 @@ def _selection_basis(
     RankDeficientError."""
     if index_set.dimension != candidates.dimension:
         raise ValueError("index set and candidates disagree on dimension")
-    if m_points < 1:
-        raise ValueError("m_points must be positive")
     if m_points > len(index_set):
         raise ValueError(
             f"cannot select {m_points} points in a basis of size {len(index_set)}"
@@ -381,8 +375,10 @@ def _selection_basis(
 
 
 def _check_candidates(available: int, m_points: int, where: str = "") -> None:
-    """Refuse a selection of m_points among fewer candidates; where prefixes
-    the message."""
+    """Refuse a selection of fewer than one point, or of m_points among fewer
+    candidates; where prefixes the message."""
+    if m_points < 1:
+        raise ValueError(f"{where}m_points must be positive")
     if m_points > available:
         raise ValueError(f"{where}only {available} candidates for {m_points} points")
 

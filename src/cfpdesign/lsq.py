@@ -69,10 +69,15 @@ def _fit_inputs(basis: ProductBasis, points, values):
     return pts, vals
 
 
-def _lstsq(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    m, n = matrix.shape
+def _check_samples(m: int, n: int) -> None:
+    """Refuse a fit of n coefficients to fewer than n samples."""
     if m < n:
         raise ValueError(f"need at least {n} samples, got {m}")
+
+
+def _lstsq(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    m, n = matrix.shape
+    _check_samples(m, n)
     solution, _, rank, sigma = np.linalg.lstsq(matrix, rhs, rcond=None)
     if rank < n:
         raise RankDeficientError(

@@ -134,12 +134,12 @@ def _degree_setup(
     config: StudyConfig, degree: int, m_points: int | None = None,
     where: str | None = None,
 ):
-    """(lam, M) for one degree; M defaults to ceil(oversampling * N). A caller
-    that selects passes where, the prefix of the too-few-candidates refusal,
-    and M meets the candidates as soon as it is known: given, or from a
-    total-degree set's size comb(degree + d, d) before the set is built (at
-    d = 200 degree 3 that spares a half-minute build of 1.4 million indices),
-    else before _select enriches the set. where None checks nothing."""
+    """(lam, lam_tilde, M) for one degree; M defaults to ceil(oversampling * N).
+    A caller that selects passes where, the prefix of the selection's count
+    refusals; M meets the candidates as soon as it is known (given, or from a
+    total-degree set's size comb(degree + d, d), which at d = 200 degree 3
+    spares a half-minute build of 1.4 million indices), and lam_tilde is lam
+    enriched to M indices when M > N. where None checks and enriches nothing."""
     d = config.dimension
     build = getattr(multiindex, _INDEX_SETS[config.rule])
     size = math.comb(degree + d, d) if config.rule == "TD" and degree >= 0 else None
@@ -152,7 +152,10 @@ def _degree_setup(
         m_points = _oversampled(config, len(lam))
     if where is not None:
         _check_candidates(config.candidates, m_points, where)
-    return (build(d, degree) if lam is None else lam), m_points
+    lam = build(d, degree) if lam is None else lam
+    if where is None or m_points <= len(lam):
+        return lam, lam, m_points
+    return lam, enrich(lam, m_points - len(lam)), m_points
 
 
 def _oversampled(config: StudyConfig, size: int) -> int:
@@ -168,11 +171,10 @@ def _oversampled(config: StudyConfig, size: int) -> int:
 
 
 def _select(
-    config: StudyConfig, method: str, lam: MultiIndexSet, m_points: int, seed: int
+    config: StudyConfig, method: str, lam_tilde: MultiIndexSet, m_points: int, seed: int
 ) -> DesignResult:
     """Greedy CFP or AFP pivots among config.candidates draws seeded by seed,
-    in lam enriched to m_points indices when M > N (M checked by _degree_setup)."""
-    lam_tilde = enrich(lam, m_points - len(lam)) if m_points > len(lam) else lam
+    in the selection space lam_tilde and M that _degree_setup gives."""
     cands = candidate_set(
         config.density, config.dimension, config.candidates, lam_tilde.max_degree, seed
     )
@@ -186,7 +188,7 @@ def _solver(method: str):
 
 
 def _design_points(
-    config: StudyConfig, method: str, lam: MultiIndexSet, m_points: int,
+    config: StudyConfig, method: str, lam_tilde: MultiIndexSet, m_points: int,
     degree: int, trial: int,
 ) -> np.ndarray:
     """One trial's sample points for a method, drawn from derived sub-seeds."""
@@ -198,7 +200,7 @@ def _design_points(
     cand_seed = _derive_seed(
         config.seed, _STREAM_CANDIDATES, _METHOD_ID[method], degree, trial
     )
-    return _select(config, method, lam, m_points, cand_seed).points
+    return _select(config, method, lam_tilde, m_points, cand_seed).points
 
 
 def _quantiles_20_80(values: np.ndarray) -> tuple[float, float]:
@@ -237,20 +239,21 @@ def _sweep(config: StudyConfig, trial_value) -> list[dict]:
     is raised again as the same type, its message prefixed with the cell
     and trial, such as "AFP degree 30 trial 0: "; a MemoryError is raised
     again as a plain MemoryError with the same prefix. Too few candidates for
-    a CFP or AFP cell are refused under trial 0's prefix (see _degree_setup).
+    a CFP or AFP cell are refused under trial 0's prefix, and its index set is
+    enriched once, before its trials (see _degree_setup).
     """
     records = []
     for method in config.methods:
         for degree in config.degrees:
             where = None if method == "MC" else _trial_prefix(method, degree, 0)
-            lam, m_points = _degree_setup(config, degree, where=where)
+            lam, lam_tilde, m_points = _degree_setup(config, degree, where=where)
             basis = ProductBasis.for_density(config.density, lam)
             values = np.empty(config.trials)
             for trial in range(config.trials):
                 where = _trial_prefix(method, degree, trial)
                 try:
                     points = _design_points(
-                        config, method, lam, m_points, degree, trial
+                        config, method, lam_tilde, m_points, degree, trial
                     )
                     values[trial] = trial_value(method, basis, points, degree, trial)
                 except ValueError as exc:

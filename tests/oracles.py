@@ -1,13 +1,19 @@
-"""Oracles for the tests: exact ones in rational arithmetic, and the
-recursive grevlex enumerator the package's index sets once came from.
+"""Oracles for the tests: exact ones in rational arithmetic, a greedy
+selection that keeps every residual row explicitly, and the recursive
+grevlex enumerator the package's index sets once came from.
 
 Every float is a dyadic rational, so the exact oracles compute with the
 exact values of their float inputs and round nothing. They share no code
 with the package: the recurrence weights are restated here, not read from
-it.
+it. The explicit-residual greedy reads only the package's tie window.
 """
 
+import math
 from fractions import Fraction
+
+import numpy as np
+
+from cfpdesign import design
 
 
 def abs_det(rows) -> Fraction:
@@ -37,6 +43,27 @@ def abs_det(rows) -> Fraction:
                 a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
         prev = a[k][k]
     return Fraction(abs(prev), scale)
+
+
+def _explicit_residual_greedy(v, m_points):
+    """Greedy pivots that keep every residual row explicitly and recompute
+    every squared norm from them at every step.
+
+    Returns the pivots and, per step, the relative gap between the best
+    squared residual and the runner-up.
+    """
+    r = v.copy()
+    chosen, gaps = [], []
+    for _ in range(m_points):
+        sq = np.einsum("ij,ij->i", r, r)
+        sq[chosen] = -np.inf
+        best = float(np.max(sq))
+        j = int(np.argmax(sq >= best - 2.0 * design.TIE_RTOL * best))
+        gaps.append(1.0 - float(np.partition(sq, -2)[-2]) / best)
+        chosen.append(j)
+        q = r[j] / math.sqrt(sq[j])
+        r -= np.outer(r @ q, q)
+    return chosen, gaps
 
 
 def _beta(kind: str, n: int) -> Fraction:

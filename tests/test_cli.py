@@ -493,6 +493,43 @@ def test_design_fit_that_cannot_run_writes_nothing(capsys, argv, message):
     _fails_with(capsys, argv, message)
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--degree", "15", "--samples", "100", "--fit", "exp_negsumsq"],
+         "need at least 136 samples, got 100"),
+        (["--family", "gaussian", "--dimension", "4", "--rule", "HC", "--degree", "8",
+          "--samples", "60", "--fit", "exp_negsumsq"],
+         "need at least 73 samples, got 60"),
+        (["--degree", "3", "--samples", "5", "--fit", "exp_negsumsq"],
+         "need at least 10 samples, got 5"),
+        (["--samples", "0"], "m_points must be positive"),
+        (["--samples", "-4"], "m_points must be positive"),
+    ],
+)
+def test_design_count_refusals_come_before_the_draw(monkeypatch, capsys, argv, message):
+    """M and N are known before any candidate is drawn, so a fit with fewer
+    samples than basis functions and a design of fewer than one point are
+    refused with no draw."""
+    monkeypatch.setattr(studies, "candidate_set", lambda *args: pytest.fail("drawn"))
+    _fails_with(capsys, ["design", *argv, "-o", "-"], message)
+
+
+def test_study_cell_enriches_its_set_once(monkeypatch):
+    """A CFP or AFP cell builds its enriched set once for all its trials, and
+    a Monte Carlo cell builds none: two degrees, three trials, 4 builds."""
+    calls = []
+
+    def counted(*args, _enrich=studies.enrich):
+        calls.append(args[1])
+        return _enrich(*args)
+
+    monkeypatch.setattr(studies, "enrich", counted)
+    argv = ["study", "cond", "--degrees", "2,3", "--trials", "3", "-o", "-"]
+    assert main(argv) == 0
+    assert calls == [1, 1, 1, 1]  # M - N: 7 - 6 and 11 - 10, CFP then AFP
+
+
 @pytest.mark.parametrize("study", ["cond", "approx", "elliptic"])
 def test_negative_seed_is_a_usage_error(capsys, study):
     argv = ["study", study, "--degrees", "1", "--trials", "1", "--candidates", "200"]

@@ -2,8 +2,8 @@
 
 The lazy pivoted Cholesky selection path is checked four ways: hand-worked
 4-candidate examples with closed-form rows, exact pivot agreement with the
-literal greedy reference on random instances, pivot agreement with an
-in-test explicit-residual greedy at the 2000- and 10k-candidate sizes the
+literal greedy reference on random instances, pivot agreement with the
+explicit-residual greedy oracle at the 2000- and 10k-candidate sizes the
 studies use (there the loop picks in blocks from 512-row shortlists; a
 built case has a row outside the shortlist overtake it, clustered candidates
 test the cancellation recompute and the trace's digits, and a
@@ -75,7 +75,7 @@ from cfpdesign.studies import (
     _derive_seed,
     _select,
 )
-from oracles import abs_det
+from oracles import _explicit_residual_greedy, abs_det
 
 UNIFORM = DensitySpec("uniform")
 GAUSSIAN = DensitySpec("gaussian")
@@ -305,27 +305,6 @@ def test_qr_path_matches_greedy_reference():
             )
 
 
-def _explicit_residual_greedy(v, m_points):
-    """Greedy pivots that keep every residual row explicitly and recompute
-    every squared norm from them at every step.
-
-    Returns the pivots and, per step, the relative gap between the best
-    squared residual and the runner-up.
-    """
-    r = v.copy()
-    chosen, gaps = [], []
-    for _ in range(m_points):
-        sq = np.einsum("ij,ij->i", r, r)
-        sq[chosen] = -np.inf
-        best = float(np.max(sq))
-        j = int(np.argmax(sq >= best - 2.0 * design.TIE_RTOL * best))
-        gaps.append(1.0 - float(np.partition(sq, -2)[-2]) / best)
-        chosen.append(j)
-        q = r[j] / math.sqrt(sq[j])
-        r -= np.outer(r @ q, q)
-    return chosen, gaps
-
-
 def _rows(candidates, index_set, space):
     basis = ProductBasis.for_density(candidates.densities, index_set)
     return eval_rows(basis, candidates.points, space)
@@ -457,10 +436,8 @@ def test_shortlist_picked_out_starts_a_new_block(monkeypatch):
 
 
 def _study_space(config, degree):
-    """The study's selection space and M at one degree, enriched as
-    studies._select enriches it."""
-    lam, m_points = _degree_setup(config, degree)
-    lam_tilde = enrich(lam, m_points - len(lam)) if m_points > len(lam) else lam
+    """The study's selection space and M at one degree, from _degree_setup."""
+    _, lam_tilde, m_points = _degree_setup(config, degree, where="")
     return lam_tilde, m_points
 
 
@@ -759,9 +736,9 @@ def _curve_candidates():
 
 def _study_trial0(config, degree, method):
     """The study's trial-0 selection at one degree, from its candidate seed."""
-    lam, m_points = _degree_setup(config, degree)
+    lam_tilde, m_points = _study_space(config, degree)
     seed = _derive_seed(0, _STREAM_CANDIDATES, _METHOD_ID[method], degree, 0)
-    return _select(config, method, lam, m_points, seed)
+    return _select(config, method, lam_tilde, m_points, seed)
 
 
 def _study_td15(density, method):

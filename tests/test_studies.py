@@ -172,7 +172,7 @@ def test_index_set_builds_reach_wrappers_bound_in_their_modules(monkeypatch, rul
             if module is not None and module.__name__.startswith("cfpdesign"):
                 if getattr(module, name, None) is builder:
                     monkeypatch.setattr(module, name, counted)
-    lam, m_points = studies._degree_setup(StudyConfig(rule=rule), 3)
+    lam, _, m_points = studies._degree_setup(StudyConfig(rule=rule), 3)
     expected = "total_degree" if rule == "TD" else "hyperbolic_cross"
     assert calls == [expected]
     assert lam == getattr(multiindex, expected)(2, 3)
