@@ -28,7 +28,6 @@ from .orthopoly import (
 __all__ = [
     "ProductBasis",
     "RankDeficientError",
-    "eval_row",
     "eval_rows",
     "christoffel",
     "det_modulus",
@@ -199,8 +198,8 @@ def eval_rows(basis: ProductBasis, points, space: str) -> np.ndarray:
 
 
 def eval_row(basis: ProductBasis, y, space: str) -> np.ndarray:
-    """Single basis row at y; Q rows have unit Euclidean norm."""
-    pts = _as_finite(np.atleast_2d(y), "y", ("m", basis.dimension))
+    """Basis row at exactly one point y, (d,) or (1, d); Q rows have unit norm."""
+    pts = _as_finite(np.atleast_2d(y), "y", (1, basis.dimension))
     return eval_rows(basis, pts, space)[0]
 
 

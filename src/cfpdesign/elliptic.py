@@ -40,7 +40,7 @@ import numpy as np
 from .basis import _row_blocks
 from .orthopoly import _as_finite
 
-__all__ = ["EllipticConfig", "diffusivity", "solve_bvp", "solve_bvp_batch"]
+__all__ = ["EllipticConfig", "solve_bvp_batch"]
 
 
 @dataclass(frozen=True)
@@ -119,5 +119,6 @@ def solve_bvp_batch(config: EllipticConfig, y: np.ndarray) -> np.ndarray:
 
 
 def solve_bvp(config: EllipticConfig, y) -> float:
-    """u(1/2, y) for a single parameter point."""
-    return float(solve_bvp_batch(config, y)[0])
+    """u(1/2, y) for exactly one parameter point, given as (d,) or (1, d)."""
+    y2 = _as_finite(np.atleast_2d(y), "y", (1, config.dimension))
+    return float(solve_bvp_batch(config, y2)[0])

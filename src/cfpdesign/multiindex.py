@@ -18,7 +18,6 @@ __all__ = [
     "MultiIndexSet",
     "total_degree",
     "hyperbolic_cross",
-    "is_downward_closed",
     "enrich",
 ]
 

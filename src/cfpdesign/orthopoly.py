@@ -26,7 +26,6 @@ __all__ = [
     "DensitySpec",
     "RecurrenceTable",
     "recurrence_coefficients",
-    "eval_phi",
     "eval_phi_sequence",
     "gauss_rule",
     "r_ratio",

@@ -33,7 +33,6 @@ from cfpdesign import (
     r_ratio,
     recurrence_coefficients,
     sample_density,
-    solve_bvp,
     solve_weighted,
     study_approx,
     study_condition,
@@ -43,6 +42,7 @@ from cfpdesign import (
 )
 from cfpdesign.cli import main as cli_main
 from cfpdesign.design import greedy_select_reference
+from cfpdesign.elliptic import solve_bvp
 
 UNIFORM = DensitySpec("uniform")
 GAUSSIAN = DensitySpec("gaussian")
@@ -250,6 +250,7 @@ def test_07_exact_recovery_in_span():
         return eval_rows(basis, z, "P") @ coeff
 
     m_points = math.ceil(1.05 * len(lam))
+    # the enriched space, derived from the library on purpose, not through the CLI
     lam_tilde = enrich(lam, m_points - len(lam))
     cands = candidate_set(UNIFORM, 2, 10_000, lam_tilde.max_degree, 0)
     points = cfp_select(cands, lam_tilde, m_points).points

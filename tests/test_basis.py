@@ -21,7 +21,6 @@ from cfpdesign import (
     condition_number,
     det_modulus,
     eval_phi_sequence,
-    eval_row,
     eval_rows,
     gauss_rule,
     hyperbolic_cross,
@@ -31,7 +30,12 @@ from cfpdesign import (
     solve_weighted,
     total_degree,
 )
-from cfpdesign.basis import RECURRENCE_CHUNK_POINTS, ROW_BLOCK_VALUES, vandermonde
+from cfpdesign.basis import (
+    RECURRENCE_CHUNK_POINTS,
+    ROW_BLOCK_VALUES,
+    eval_row,
+    vandermonde,
+)
 from oracles import christoffel_exact
 
 UNIFORM = DensitySpec("uniform")

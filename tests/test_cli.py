@@ -723,6 +723,7 @@ def test_design_matches_library_selection(
 
     build = total_degree if rule == "TD" else hyperbolic_cross
     lam = build(dimension, degree)
+    # a second, library-level derivation of the CLI's enriched space, on purpose
     lam_tilde = enrich(lam, m_points - len(lam)) if m_points > len(lam) else lam
     cands = candidate_set(
         DensitySpec(family), dimension, n_candidates, lam_tilde.max_degree, seed

@@ -9,7 +9,7 @@ recomputation must agree before they are used.
 The discrete solution itself is checked against the full tridiagonal
 system of the conservative-flux scheme, solved by scipy's banded LU. Both
 that oracle and the unblocked flux sum take kappa from its formula, written
-out here, not from the package's diffusivity, which shares the solve's code.
+out here, not from elliptic.diffusivity, which shares the solve's code.
 """
 
 import math
@@ -21,9 +21,10 @@ from scipy.integrate import quad
 from scipy.linalg import solve_banded
 
 from cfpdesign import basis as basis_module
-from cfpdesign import EllipticConfig, diffusivity, solve_bvp, solve_bvp_batch
+from cfpdesign import EllipticConfig, solve_bvp_batch
 from cfpdesign.basis import ROW_BLOCK_VALUES
 from cfpdesign.cli import main
+from cfpdesign.elliptic import diffusivity, solve_bvp
 
 # flux-integral values for d = 1, sigma = 1 (quad, epsabs 1e-14)
 EXACT_MID = {

@@ -36,10 +36,7 @@ from cfpdesign import (
     christoffel,
     condition_number,
     det_modulus,
-    diffusivity,
-    eval_phi,
     eval_phi_sequence,
-    eval_row,
     eval_rows,
     eval_surrogate,
     gauss_rule,
@@ -53,6 +50,9 @@ from cfpdesign import (
     total_degree,
     validation_error,
 )
+from cfpdesign.basis import eval_row
+from cfpdesign.elliptic import diffusivity, solve_bvp
+from cfpdesign.orthopoly import eval_phi
 
 UNIFORM = DensitySpec("uniform")
 BASIS = ProductBasis.for_density(UNIFORM, total_degree(2, 2))
@@ -252,6 +252,16 @@ SHAPE_CASES = [
         lambda: eval_rows(BASIS, POINTS[:, :1], "P"),
         r"^points has shape \(20, 1\), need \(m, 2\)$",
         id="eval_rows-narrow",
+    ),
+    pytest.param(
+        lambda: eval_row(BASIS, POINTS[:2], "P"),
+        r"^y has shape \(2, 2\), need \(1, 2\)$",
+        id="eval_row-two-points",
+    ),
+    pytest.param(
+        lambda: solve_bvp(BVP, POINTS[:2]),
+        r"^y has shape \(2, 2\), need \(1, 2\)$",
+        id="solve_bvp-two-points",
     ),
     pytest.param(
         lambda: CandidateSet(POINTS[:, 0], (UNIFORM, UNIFORM), 2, 0),

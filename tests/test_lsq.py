@@ -32,7 +32,7 @@ GAUSSIAN = DensitySpec("gaussian")
 
 
 def _design_points(density, lam, m_points, seed):
-    # oversampled designs select in an enriched space, as the studies do
+    # oversampled designs select in an enriched space, derived here on purpose
     space = lam if m_points <= len(lam) else enrich(lam, m_points - len(lam))
     cands = candidate_set(density, lam.dimension, 800, max(1, lam.max_degree), seed)
     return cfp_select(cands, space, m_points).points

@@ -20,10 +20,9 @@ from cfpdesign import (
     MultiIndexSet,
     enrich,
     hyperbolic_cross,
-    is_downward_closed,
     total_degree,
 )
-from cfpdesign.multiindex import _grevlex
+from cfpdesign.multiindex import _grevlex, is_downward_closed
 
 
 def _box_filter_oracle(dimension, degree, keep):

@@ -21,7 +21,6 @@ from numpy.polynomial.legendre import leggauss
 from cfpdesign import (
     DensitySpec,
     RecurrenceTable,
-    eval_phi,
     eval_phi_sequence,
     gauss_rule,
     level_set,
@@ -30,7 +29,7 @@ from cfpdesign import (
     recurrence_coefficients,
     sample_density,
 )
-from cfpdesign.orthopoly import level_set_bisection
+from cfpdesign.orthopoly import eval_phi, level_set_bisection
 
 UNIFORM = DensitySpec("uniform")
 GAUSSIAN = DensitySpec("gaussian")

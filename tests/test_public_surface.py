@@ -19,13 +19,21 @@ import cfpdesign.cli  # noqa: F401  the tracer wraps cfpdesign.cli.main
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "perfbench" / "tracer.py"
 
-# test oracles, and the eval_rows alias that only the tracer still wraps:
-# importable from their modules, not exported from the package
+# test oracles, the eval_rows alias, and five conveniences that no other
+# module calls (two scalar forks of batch entry points, row n of
+# eval_phi_sequence, the solve's kappa and enrich's precondition): importable
+# from their modules only, not exported from the package, and wrapped by name
+# in perfbench/tracer.py
 NOT_EXPORTED = (
     "vandermonde",
     "greedy_select_reference",
     "global_select_oracle",
     "level_set_bisection",
+    "eval_row",
+    "eval_phi",
+    "solve_bvp",
+    "diffusivity",
+    "is_downward_closed",
 )
 
 
@@ -58,17 +66,16 @@ MODULES = ("orthopoly", "multiindex", "basis", "design", "lsq", "elliptic", "stu
 # the package surface; a name added to a module's __all__ shows up here
 SURFACE = {
     "__version__",
-    "DensitySpec", "RecurrenceTable", "recurrence_coefficients", "eval_phi",
+    "DensitySpec", "RecurrenceTable", "recurrence_coefficients",
     "eval_phi_sequence", "gauss_rule", "r_ratio", "level_set",
     "quadrature_exactness_report", "sample_density",
-    "MultiIndexSet", "total_degree", "hyperbolic_cross", "is_downward_closed",
-    "enrich",
-    "ProductBasis", "RankDeficientError", "eval_row", "eval_rows",
+    "MultiIndexSet", "total_degree", "hyperbolic_cross", "enrich",
+    "ProductBasis", "RankDeficientError", "eval_rows",
     "christoffel", "det_modulus", "condition_number",
     "CandidateSet", "DesignResult", "candidate_set", "cfp_select", "afp_select",
     "Surrogate", "solve_weighted", "solve_unweighted", "eval_surrogate",
     "validation_error",
-    "EllipticConfig", "diffusivity", "solve_bvp", "solve_bvp_batch",
+    "EllipticConfig", "solve_bvp_batch",
     "StudyConfig", "TARGETS",
     "study_condition", "study_approx", "verify_oned", "render_csv",
     "config_echo", "resolve_target",
@@ -81,7 +88,7 @@ def test_package_exports_exactly_its_modules_names():
         expected += getattr(cfpdesign, module).__all__
     assert cfpdesign.__all__ == expected
     assert set(cfpdesign.__all__) == SURFACE
-    assert len(SURFACE) == 45
+    assert len(SURFACE) == 40
 
 
 def test_value_type_fields():
